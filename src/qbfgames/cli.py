@@ -98,10 +98,6 @@ def _write_output(text: str, path: str | None):
             handle.write(text)
 
 
-def _move_text(move) -> str:
-    return f"x{move.var}={'T' if move.value else 'F'}"
-
-
 def _winner_line(config: RulesetConfig, player: Player) -> str:
     return f"winner: {player.name} ({config.player_label(player)})"
 
@@ -127,7 +123,7 @@ def cmd_solve(args) -> int:
         outcome = solve_naive(position)
     else:
         outcome = solve(position, node_budget=args.budget)
-    pv = None if outcome.variation is None else [_move_text(m) for m in outcome.variation]
+    pv = None if outcome.variation is None else [str(m) for m in outcome.variation]
     if args.json:
         payload = {
             "ruleset": position.config.name,
@@ -164,7 +160,7 @@ def cmd_replay(args) -> int:
     steps = [
         {
             "mover": step.position.mover.opponent.name,
-            "move": _move_text(step.move),
+            "move": str(step.move),
             "formula": to_text(step.simplified),
         }
         for step in result.steps
@@ -178,7 +174,7 @@ def cmd_replay(args) -> int:
             if result.error is None
             else {
                 "index": result.error_index,
-                "move": _move_text(result.error.move),
+                "move": str(result.error.move),
                 "reason": result.error.reason,
             },
             "winner": None if result.winner is None else result.winner.name,
@@ -194,7 +190,7 @@ def cmd_replay(args) -> int:
     if result.error is not None:
         print(
             f"illegal move at step {result.error_index + 1}: "
-            f"{_move_text(result.error.move)} ({result.error.reason})",
+            f"{result.error.move} ({result.error.reason})",
             file=sys.stderr,
         )
         return EXIT_ILLEGAL_MOVE
@@ -363,7 +359,7 @@ def cmd_play(args) -> int:
         else:
             outcome = solve(position, node_budget=args.budget)
             move = outcome.variation[0]
-            print(f"solver plays {_move_text(move)}")
+            print(f"solver plays {move}")
             position = apply_move(position, move)
 
 
@@ -381,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--mover", type=int, choices=(1, 2), help="override the player to move")
     ps.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     ps.add_argument("--pv", action="store_true", help="print a principal variation")
-    ps.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; the search currently runs single-threaded for any value",
-    )
     ps.add_argument("--json", action="store_true", help="machine-readable output")
     ps.set_defaults(func=cmd_solve)
 

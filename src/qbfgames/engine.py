@@ -129,10 +129,6 @@ class Move:
     def __repr__(self):
         return f"x{self.var}={'T' if self.value else 'F'}"
 
-    @property
-    def text(self) -> str:
-        return repr(self)
-
 
 class PositionError(ValueError):
     """Invalid position construction."""
@@ -242,16 +238,6 @@ def legal_moves(p: Position) -> list:
     return moves
 
 
-def has_legal_move(p: Position) -> bool:
-    same = p.config.goal is Goal.SAME
-    for var in _candidate_vars(p):
-        for value in _candidate_values(p):
-            if same and blatantly_false(p.formula, p.assignment.assign(var, value)):
-                continue
-            return True
-    return False
-
-
 def apply_move(p: Position, m: Move) -> Position:
     """Extended position after m; raises IllegalMoveError naming the violated rule."""
     if not 0 <= m.var < p.n:
@@ -285,7 +271,7 @@ def is_terminal(p: Position) -> bool:
         return True
     if p.config.goal is Goal.DIFFERENT:
         return False
-    return not has_legal_move(p)
+    return not legal_moves(p)
 
 
 def winner(p: Position) -> Player:

@@ -11,15 +11,20 @@ The text format is parenthesized prefix notation:
              | "(or " formula+ ")" | "true" | "false"
     var     := "x" nonnegative-decimal-integer
 
-Whitespace between tokens is insignificant.  A negation applied directly to a
-variable parses to a negated `Literal` rather than a `Not` node, and
-`to_text` renders negated literals the same way, so parse -> to_text -> parse
-is a fixpoint.
+Whitespace between tokens is insignificant, and parentheses nest at most
+`MAX_DEPTH` deep.  A negation applied directly to a variable parses to a
+negated `Literal` rather than a `Not` node, and `to_text` renders negated
+literals the same way, so parse -> to_text -> parse is a fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# Deepest parenthesis nesting `parse_formula` accepts.  `evaluate`, the
+# blatancy predicates and `to_text` spend two Python frames per level, so
+# this keeps every recursive walk well inside the default recursion limit.
+MAX_DEPTH = 256
 
 
 class FormulaError(Exception):
@@ -266,122 +271,69 @@ def simplify(f: Formula, a: Assignment) -> Formula:
     only unassigned variables, or is a constant, and agrees with f on every
     completion of the remaining variables.
     """
-    if isinstance(f, Const):
-        return f
-    if isinstance(f, Literal):
-        v = a.values[f.var]
+    return substitute(f, a.values)
+
+
+def substitute(f: Formula, values) -> Formula:
+    """`simplify` over a bare per-variable sequence (None = unassigned).
+
+    Any subtree the fold leaves unchanged is returned as the same object, so
+    refolding a residual after one more assignment rebuilds only the paths
+    that hold the new variable.  The solver relies on that: it keeps one
+    mutable value list and refolds the residual formula at every move.
+    """
+    kind = type(f)
+    if kind is And or kind is Or:
+        is_and = kind is And
+        parts = []
+        changed = False
+        for c in f.children:
+            # Literal children, most of what the solver folds, are handled
+            # inline: a call per literal would cost more than the loop.
+            if type(c) is Literal:
+                v = values[c.var]
+                if v is None:
+                    parts.append(c)
+                    continue
+                truth = v != c.negated
+            else:
+                s = substitute(c, values)
+                if type(s) is Const:
+                    truth = s.value
+                elif type(s) is kind:
+                    parts.extend(s.children)
+                    changed = True
+                    continue
+                else:
+                    parts.append(s)
+                    changed = changed or s is not c
+                    continue
+            # A constant child: the absorbing value decides the node, the
+            # identity value is dropped.
+            if truth != is_and:
+                return FALSE if is_and else TRUE
+            changed = True
+        if not changed and len(parts) > 1:
+            return f
+        if not parts:
+            return TRUE if is_and else FALSE
+        if len(parts) == 1:
+            return parts[0]
+        return kind(tuple(parts))
+    if kind is Literal:
+        v = values[f.var]
         if v is None:
             return f
         return TRUE if v != f.negated else FALSE
-    if isinstance(f, Not):
-        s = simplify(f.child, a)
-        if isinstance(s, Const):
+    if kind is Not:
+        s = substitute(f.child, values)
+        if type(s) is Const:
             return FALSE if s.value else TRUE
-        if isinstance(s, Not):
+        if type(s) is Not:
             return s.child
         return f if s is f.child else Not(s)
-    if isinstance(f, And):
-        parts = []
-        for c in f.children:
-            s = simplify(c, a)
-            if isinstance(s, Const):
-                if not s.value:
-                    return FALSE
-                continue
-            if isinstance(s, And):
-                parts.extend(s.children)
-            else:
-                parts.append(s)
-        if not parts:
-            return TRUE
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
-    if isinstance(f, Or):
-        parts = []
-        for c in f.children:
-            s = simplify(c, a)
-            if isinstance(s, Const):
-                if s.value:
-                    return TRUE
-                continue
-            if isinstance(s, Or):
-                parts.extend(s.children)
-            else:
-                parts.append(s)
-        if not parts:
-            return FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def substitute(f: Formula, var: int, value: bool) -> Formula:
-    """Assign one variable inside an already-simplified formula.
-
-    Equivalent to re-running `simplify` with the extended assignment, but
-    touches only the paths containing `var`; untouched subtrees are shared.
-    """
-    if isinstance(f, Const):
+    if kind is Const:
         return f
-    if isinstance(f, Literal):
-        if f.var != var:
-            return f
-        return TRUE if value != f.negated else FALSE
-    if isinstance(f, Not):
-        s = substitute(f.child, var, value)
-        if s is f.child:
-            return f
-        if isinstance(s, Const):
-            return FALSE if s.value else TRUE
-        if isinstance(s, Not):
-            return s.child
-        return Not(s)
-    if isinstance(f, And):
-        parts = []
-        changed = False
-        for c in f.children:
-            s = substitute(c, var, value)
-            if s is not c:
-                changed = True
-                if isinstance(s, Const):
-                    if not s.value:
-                        return FALSE
-                    continue
-                if isinstance(s, And):
-                    parts.extend(s.children)
-                    continue
-            parts.append(s)
-        if not changed:
-            return f
-        if not parts:
-            return TRUE
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
-    if isinstance(f, Or):
-        parts = []
-        changed = False
-        for c in f.children:
-            s = substitute(c, var, value)
-            if s is not c:
-                changed = True
-                if isinstance(s, Const):
-                    if s.value:
-                        return TRUE
-                    continue
-                if isinstance(s, Or):
-                    parts.extend(s.children)
-                    continue
-            parts.append(s)
-        if not changed:
-            return f
-        if not parts:
-            return FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -463,8 +415,9 @@ def _tokenize(text: str):
 def parse_formula(text: str, n: int) -> Formula:
     """Parse formula text over n declared variables.
 
-    Raises FormulaSyntaxError with position info on malformed input and
-    VariableRangeError when an index is not below n.
+    Raises FormulaSyntaxError with position info on malformed input or
+    nesting deeper than MAX_DEPTH, and VariableRangeError when an index is
+    not below n.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -483,21 +436,23 @@ def parse_formula(text: str, n: int) -> Formula:
         pos += 1
         return tok
 
-    def parse_one() -> Formula:
+    def parse_one(depth: int) -> Formula:
         tok, line, col = take()
         if tok == ")":
             raise FormulaSyntaxError("unexpected ')'", line, col)
         if tok != "(":
             return parse_atom(tok, line, col)
+        if depth == MAX_DEPTH:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
         head, hline, hcol = take()
         if head == "not":
-            child = parse_one()
+            child = parse_one(depth + 1)
             expect_close()
             if isinstance(child, Literal):
                 return Literal(child.var, not child.negated)
             return Not(child)
         if head in ("and", "or"):
-            children = [parse_one()]
+            children = [parse_one(depth + 1)]
             while True:
                 nxt = peek()
                 if nxt is None:
@@ -505,7 +460,7 @@ def parse_formula(text: str, n: int) -> Formula:
                 if nxt[0] == ")":
                     take()
                     break
-                children.append(parse_one())
+                children.append(parse_one(depth + 1))
             return And(tuple(children)) if head == "and" else Or(tuple(children))
         raise FormulaSyntaxError(f"expected 'not', 'and' or 'or', got {head!r}", hline, hcol)
 
@@ -526,7 +481,7 @@ def parse_formula(text: str, n: int) -> Formula:
         if tok != ")":
             raise FormulaSyntaxError(f"expected ')', got {tok!r}", line, col)
 
-    result = parse_one()
+    result = parse_one(0)
     extra = peek()
     if extra is not None:
         raise FormulaSyntaxError(f"trailing input {extra[0]!r}", extra[1], extra[2])

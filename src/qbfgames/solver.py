@@ -106,12 +106,13 @@ def solve(
         winning = None
         for var in cand_vars:
             for value in cand_values:
-                child = substitute(simp, var, value)
+                values[var] = value
+                child = substitute(simp, values)
                 if same and isinstance(child, Const) and not child.value:
+                    values[var] = None
                     continue
                 if first_legal is None:
                     first_legal = Move(var, value)
-                values[var] = value
                 w = search(child, opponent, k + 1)
                 values[var] = None
                 if w is mover:

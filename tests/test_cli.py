@@ -95,6 +95,43 @@ class TestSolve:
         assert code == 2
 
 
+def nested_position(head, depth):
+    """One-variable either-anywhere-same position whose formula nests `depth`
+    (even) parentheses and is equivalent to x0.  The chain wraps a connective,
+    so the parser cannot fold a `not` chain into a literal."""
+    chain = depth - 2
+    formula = f"({head} " * chain + "(and x0 (or x0 x0))" + ")" * chain
+    return f"ruleset either anywhere same\nvars 1\nassigned\n{formula}\n"
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("head", ["and", "not"])
+    def test_too_deep_exits_2_with_one_line(self, capsys, tmp_path, head):
+        path = tmp_path / "deep.pos"
+        path.write_text(nested_position(head, 3000))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "nesting deeper than 256" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("head", ["and", "not"])
+    def test_limit_depth_solves_and_replays(self, capsys, tmp_path, head):
+        position = nested_position(head, 256)
+        path = tmp_path / "limit.pos"
+        path.write_text(position)
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["winner"] == "P1"
+        trace = tmp_path / "limit.trace"
+        trace.write_text(position + "move x0 T\n")
+        code, out, _ = run(capsys, "replay", str(trace), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["steps"][0]["formula"] == "true"
+        assert payload["winner"] == "P1"
+
+
 class TestReplay:
     def test_bundled_sample_game(self, capsys):
         code, out, _ = run(capsys, "replay", "either-local-different")

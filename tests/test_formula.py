@@ -7,6 +7,7 @@ import pytest
 
 from qbfgames.formula import (
     FALSE,
+    MAX_DEPTH,
     TRUE,
     And,
     Assignment,
@@ -111,6 +112,14 @@ class TestParse:
         assert err.value.var == 7
         assert err.value.n == 7
 
+    def test_nesting_limit_is_exact(self):
+        at_limit = "(or " * MAX_DEPTH + "x0" + ")" * MAX_DEPTH
+        assert simplify(parse_formula(at_limit, 1), Assignment.empty(1)) == Literal(0)
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("(or " + at_limit + ")", 1)
+        # reported at the parenthesis that opens level MAX_DEPTH + 1
+        assert err.value.column == 4 * MAX_DEPTH + 1
+
 
 class TestToText:
     def test_negated_literal(self):
@@ -212,7 +221,8 @@ class TestSimplify:
                 assert evaluate(s, full) == evaluate(f, full)
 
     def test_substitute_matches_simplify(self):
-        # the solver's one-variable fast path must agree with a fresh simplify
+        # refolding a residual after one more assignment, as the solver does,
+        # must agree with a fresh simplify
         rng = random.Random(4242)
         for _ in range(500):
             n = rng.randint(1, 8)
@@ -224,8 +234,8 @@ class TestSimplify:
             if not open_vars:
                 continue
             var = rng.choice(open_vars)
-            value = rng.random() < 0.5
-            assert substitute(s, var, value) == simplify(f, a.assign(var, value))
+            extended = a.assign(var, rng.random() < 0.5)
+            assert substitute(s, extended.values) == simplify(f, extended)
 
 
 class TestFreeVariables:
