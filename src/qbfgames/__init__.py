@@ -6,112 +6,9 @@ generate eight rulesets; this package provides the position engine, exact
 solvers, a linear-time simulator for the two choice-free rulesets, and
 executable reductions from four classic source games with empirical
 winner-preservation checks.
-"""
 
-from .cnf import Cnf, CnfError, parse_dimacs
-from .engine import (
-    ALL_CONFIGS,
-    BY_PLAYER_ANYWHERE_DIFFERENT,
-    BY_PLAYER_ANYWHERE_SAME,
-    BY_PLAYER_LOCAL_DIFFERENT,
-    BY_PLAYER_LOCAL_SAME,
-    EITHER_ANYWHERE_DIFFERENT,
-    EITHER_ANYWHERE_SAME,
-    EITHER_LOCAL_DIFFERENT,
-    EITHER_LOCAL_SAME,
-    BooleanChoice,
-    GameTrace,
-    Goal,
-    IllegalMoveError,
-    Locality,
-    Move,
-    NonTerminalPositionError,
-    Player,
-    Position,
-    PositionError,
-    PositionFormatError,
-    ReplayResult,
-    ReplayStep,
-    RulesetConfig,
-    apply_move,
-    format_position,
-    format_trace,
-    is_terminal,
-    legal_moves,
-    parse_position,
-    parse_trace,
-    replay,
-    winner,
-)
-from .formula import (
-    And,
-    Assignment,
-    Const,
-    FALSE,
-    Formula,
-    FormulaError,
-    FormulaSyntaxError,
-    Literal,
-    Not,
-    Or,
-    TRUE,
-    UnassignedVariableError,
-    VariableRangeError,
-    and_,
-    blatantly_false,
-    blatantly_true,
-    evaluate,
-    free_variables,
-    lit,
-    node_count,
-    not_,
-    or_,
-    parse_formula,
-    simplify,
-    substitute,
-    to_text,
-)
-from .reductions import (
-    Color,
-    Graph,
-    GraphFormatError,
-    InvalidGraphError,
-    InvalidSnortGraphError,
-    NegationError,
-    PositiveCnfError,
-    PositiveCnfGame,
-    PositiveCnfInstance,
-    ProperTwoColoringGame,
-    ReductionCheck,
-    SnortGame,
-    check_p2c,
-    check_positive_cnf,
-    check_qbf_cnf,
-    check_snort,
-    format_graph,
-    p2c_game,
-    p2c_to_position,
-    parse_graph,
-    positive_cnf_game,
-    positive_cnf_to_bpad,
-    qbf_cnf_to_either_local_same,
-    snort_game,
-    snort_to_position,
-    toy_positive_equivalence_check,
-    toy_positive_to_ead,
-)
-from .solver import (
-    AbstractGame,
-    BudgetExceededError,
-    DEFAULT_NAIVE_LIMIT,
-    DEFAULT_NODE_BUDGET,
-    NaiveLimitError,
-    Outcome,
-    UnsupportedConfigError,
-    simulate_local_by_player,
-    solve,
-    solve_abstract,
-    solve_naive,
-)
+Import from the submodules: `formula`, `cnf`, `engine`, `solver`,
+`reductions`, `generators` and `cli`.
+"""
 
 __version__ = "0.1.0"

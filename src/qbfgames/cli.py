@@ -15,7 +15,7 @@ import os
 import random
 import sys
 
-from .cnf import Cnf, CnfError, parse_dimacs
+from .cnf import parse_dimacs
 from .engine import (
     GameTrace,
     Goal,
@@ -26,12 +26,12 @@ from .engine import (
     PositionFormatError,
     RulesetConfig,
     apply_move,
+    final_winner,
     format_position,
     is_terminal,
     parse_position,
     parse_trace,
     replay,
-    winner,
 )
 from .fixtures import fixture_text
 from .formula import FormulaError, to_text
@@ -43,8 +43,6 @@ from .generators import (
 )
 from .reductions import (
     GraphFormatError,
-    InvalidGraphError,
-    PositiveCnfError,
     PositiveCnfInstance,
     check_p2c,
     check_positive_cnf,
@@ -75,10 +73,7 @@ EXIT_DISAGREEMENT = 5
 INPUT_ERRORS = (
     PositionFormatError,
     FormulaError,
-    CnfError,
     GraphFormatError,
-    InvalidGraphError,
-    PositiveCnfError,
     NaiveLimitError,
     OSError,
     ValueError,
@@ -331,7 +326,7 @@ def cmd_play(args) -> int:
     while True:
         print(f"formula: {to_text(position.simplified())}")
         if is_terminal(position):
-            final = winner(position)
+            final = final_winner(position)
             if config.goal is Goal.SAME:
                 if position.mover is human:
                     print("you have no legal moves; you lose.")

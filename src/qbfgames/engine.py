@@ -4,8 +4,8 @@ A ruleset is a combination of three toggles: where the mover may play
 (local = lowest unassigned variable only, anywhere = any unassigned
 variable), which Boolean values they may write (either, or one value fixed
 per player), and what ends the game (different = play out all variables and
-evaluate, same = moves that leave the formula blatantly false are illegal
-and a stuck player loses).
+evaluate, same = a move is illegal iff the formula folds to false under the
+extended assignment, see `blatantly_false`, and a stuck player loses).
 
 Positions are immutable; `apply_move` returns a new value.  Player P1 always
 moves first from an empty assignment and is the True/Even side everywhere.
@@ -275,13 +275,18 @@ def is_terminal(p: Position) -> bool:
 
 
 def winner(p: Position) -> Player:
-    """Winner of a finished game.
-
-    Different goal: evaluate under the full assignment, P1 wins iff true.
-    Same goal: the stuck mover loses.
-    """
+    """Winner of a finished game; raises NonTerminalPositionError if it is not."""
     if not is_terminal(p):
         raise NonTerminalPositionError("position still has legal moves")
+    return final_winner(p)
+
+
+def final_winner(p: Position) -> Player:
+    """Winner of a position the caller has already found finished.
+
+    Different goal: evaluate under the full assignment, P1 wins iff true.
+    Same goal: the stuck mover loses.  Legality is not checked again.
+    """
     if p.config.goal is Goal.DIFFERENT:
         return Player.P1 if evaluate(p.formula, p.assignment) else Player.P2
     return p.mover.opponent
@@ -328,7 +333,7 @@ def replay(trace: GameTrace) -> ReplayResult:
         except IllegalMoveError as e:
             return ReplayResult(trace.initial, steps, e, i, p, None)
         steps.append(ReplayStep(m, p, simplify(p.formula, p.assignment)))
-    won = winner(p) if is_terminal(p) else None
+    won = final_winner(p) if is_terminal(p) else None
     return ReplayResult(trace.initial, steps, None, None, p, won)
 
 

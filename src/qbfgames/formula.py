@@ -1,9 +1,13 @@
-"""Boolean formula ASTs with partial evaluation and blatancy predicates.
+"""Boolean formula ASTs with partial evaluation by one And/Or fold.
 
 Formulas are immutable trees built from five node kinds: `Const`, `Literal`,
 `Not`, and the n-ary `And` / `Or`.  Variables are non-negative indices below a
 declared count, and game state assigns each variable one of three values:
 true, false, or unassigned (represented as ``True`` / ``False`` / ``None``).
+
+Partial evaluation is one routine, `substitute(f, values)`.  `simplify` is
+that fold under an `Assignment`, and `blatantly_false`, the legality test of
+the same-goal rulesets, asks whether the fold gives the false constant.
 
 The text format is parenthesized prefix notation:
 
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Deepest parenthesis nesting `parse_formula` accepts.  `evaluate`, the
-# blatancy predicates and `to_text` spend two Python frames per level, so
+# Deepest parenthesis nesting `parse_formula` accepts.  `evaluate`,
+# `substitute` and `to_text` spend at most two Python frames per level, so
 # this keeps every recursive walk well inside the default recursion limit.
 MAX_DEPTH = 256
 
@@ -223,42 +227,18 @@ def evaluate(f: Formula, a: Assignment) -> bool:
 
 
 def blatantly_false(f: Formula, a: Assignment) -> bool:
-    """Syntactically evident falsity relative to a partial assignment.
+    """The same-goal legality test: f folds to the false constant under a.
 
-    Holds for: a false-assigned literal, the constant false, a Not over a
-    blatantly true child, an Or whose children are all blatantly false, and
-    an And with at least one blatantly false child.  Literals on unassigned
-    variables are neither blatantly false nor blatantly true, so e.g.
-    x0 AND (not x0) is a contradiction but not blatantly false.
+    The paper calls f blatantly false when a false-assigned literal, the
+    constant false, a Not over a blatantly true child, an Or of blatantly
+    false children, or an And with a blatantly false child makes it so.
+    The fold `substitute` decides exactly that, and its TRUE result decides
+    the dual, blatant truth.  Literals on unassigned variables fold to
+    neither, so e.g. x0 AND (not x0) is a contradiction but not blatantly
+    false.
     """
-    if isinstance(f, Const):
-        return not f.value
-    if isinstance(f, Literal):
-        v = a.values[f.var]
-        return v is not None and v == f.negated
-    if isinstance(f, Not):
-        return blatantly_true(f.child, a)
-    if isinstance(f, And):
-        return any(blatantly_false(c, a) for c in f.children)
-    if isinstance(f, Or):
-        return all(blatantly_false(c, a) for c in f.children)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def blatantly_true(f: Formula, a: Assignment) -> bool:
-    """Dual of `blatantly_false`: syntactically evident truth."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Literal):
-        v = a.values[f.var]
-        return v is not None and v != f.negated
-    if isinstance(f, Not):
-        return blatantly_false(f.child, a)
-    if isinstance(f, And):
-        return all(blatantly_true(c, a) for c in f.children)
-    if isinstance(f, Or):
-        return any(blatantly_true(c, a) for c in f.children)
-    raise TypeError(f"not a formula node: {f!r}")
+    s = substitute(f, a.values)
+    return type(s) is Const and not s.value
 
 
 def simplify(f: Formula, a: Assignment) -> Formula:

@@ -267,20 +267,6 @@ class PositiveCnfGame(AbstractGame):
         return Player.P1 if self.instance.satisfied_by(true_vars) else Player.P2
 
 
-def snort_game(graph: Graph, first_player: Player = Player.P1) -> SnortGame:
-    return SnortGame(graph, first_player)
-
-
-def p2c_game(graph: Graph, first_player: Player = Player.P1) -> ProperTwoColoringGame:
-    return ProperTwoColoringGame(graph, first_player)
-
-
-def positive_cnf_game(
-    instance: PositiveCnfInstance, first_player: Player = Player.P1
-) -> PositiveCnfGame:
-    return PositiveCnfGame(instance, first_player)
-
-
 def snort_to_position(graph: Graph, first_player: Player = Player.P1) -> Position:
     """Encode a Snort position as by-player-anywhere-same.
 

@@ -1,10 +1,10 @@
 """Exact winner determination.
 
 `solve` runs win/loss backward induction memoized on the assignment vector
-(the formula, ruleset, and variable count are constants within one solve
-session, and the mover follows from parity).  `solve_naive` is the
-independent oracle: plain recursion straight over the engine rules, no
-memoization, no shortcuts.  `simulate_local_by_player` plays out the two
+(the formula, ruleset, variable count and the root mover's side of the
+parity rule are constants within one solve session, so the assignment fixes
+the mover).  `solve_naive` is the independent oracle: plain recursion
+straight over the engine rules, no memoization, no shortcuts.  `simulate_local_by_player` plays out the two
 choice-free rulesets in linear time.  `solve_abstract` applies the same
 induction to any finite two-player game behind a small interface.
 """
@@ -22,13 +22,16 @@ from .engine import (
     Player,
     Position,
     apply_move,
+    final_winner,
     legal_moves,
-    winner,
 )
 from .formula import Const, simplify, substitute
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_NAIVE_LIMIT = 12
+
+# The memo key under which `solve` records the session a memo belongs to.
+_SESSION = "session"
 
 
 class BudgetExceededError(Exception):
@@ -71,18 +74,25 @@ def solve(
     The principal variation follows the first winning move in the normative
     order (ascending variable, false before true), or the first legal move
     from losing positions.  A `memo` dict may be passed back in to warm-start
-    further solves of positions from the same formula/ruleset session.
+    further solves in the same session: the same formula, variable count and
+    ruleset, with the root mover on the same side of the parity rule.  The
+    memo keys on the assignment alone, so the first solve binds the memo to
+    its session and any other session raises ValueError.
     """
     config = position.config
     n = position.n
     local = config.locality is Locality.LOCAL
     by_player = config.choice is BooleanChoice.BY_PLAYER
     same = config.goal is Goal.SAME
+    p1, p2 = Player.P1, Player.P2
     if memo is None:
         memo = {}
+    parity_mover = p1 if position.assignment.assigned_count % 2 == 0 else p2
+    session = (position.formula, n, config, position.mover is parity_mover)
+    if memo.setdefault(_SESSION, session) != session:
+        raise ValueError("memo belongs to another formula, ruleset or root mover")
     values = list(position.assignment.values)
     nodes = 0
-    p1, p2 = Player.P1, Player.P2
 
     def search(simp, mover, k):
         nonlocal nodes
@@ -108,7 +118,8 @@ def solve(
             for value in cand_values:
                 values[var] = value
                 child = substitute(simp, values)
-                if same and isinstance(child, Const) and not child.value:
+                # the `blatantly_false` rule, on the residual: illegal iff it folds to false
+                if same and type(child) is Const and not child.value:
                     values[var] = None
                     continue
                 if first_legal is None:
@@ -161,7 +172,7 @@ def solve_naive(position: Position, var_limit: int = DEFAULT_NAIVE_LIMIT) -> Out
         nodes += 1
         moves = legal_moves(p)
         if not moves:
-            return winner(p)
+            return final_winner(p)
         for m in moves:
             if search(apply_move(p, m)) is p.mover:
                 return p.mover
@@ -194,7 +205,7 @@ def simulate_local_by_player(position: Position):
             break
         moves.append(step[0])
         p = apply_move(p, step[0])
-    outcome = Outcome(winner=winner(p), variation=list(moves), nodes=len(moves))
+    outcome = Outcome(winner=final_winner(p), variation=list(moves), nodes=len(moves))
     return outcome, GameTrace(position, moves)
 
 

@@ -1,5 +1,6 @@
 """Shared test corpora: the worked-game formula, exhaustive small-formula
-enumeration, and an independent bit-parallel truth-table oracle."""
+enumeration, an independent bit-parallel truth-table oracle, and the paper's
+recursive definition of blatant falsity and truth."""
 
 import itertools
 
@@ -111,3 +112,43 @@ def enumerate_formulas(max_connectives=3, ternary=True):
         if max_connectives >= 2:
             out.extend(Not(f) for f in wide)
     return out
+
+
+def spec_blatantly_false(f, a):
+    """Syntactically evident falsity relative to a partial assignment.
+
+    The paper's recursive definition, kept as the reference the fold is
+    checked against.  Holds for: a false-assigned literal, the constant
+    false, a Not over a blatantly true child, an Or whose children are all
+    blatantly false, and an And with at least one blatantly false child.
+    Literals on unassigned variables are neither blatantly false nor
+    blatantly true.
+    """
+    if isinstance(f, Const):
+        return not f.value
+    if isinstance(f, Literal):
+        v = a.values[f.var]
+        return v is not None and v == f.negated
+    if isinstance(f, Not):
+        return spec_blatantly_true(f.child, a)
+    if isinstance(f, And):
+        return any(spec_blatantly_false(c, a) for c in f.children)
+    if isinstance(f, Or):
+        return all(spec_blatantly_false(c, a) for c in f.children)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def spec_blatantly_true(f, a):
+    """Dual of `spec_blatantly_false`: syntactically evident truth."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Literal):
+        v = a.values[f.var]
+        return v is not None and v != f.negated
+    if isinstance(f, Not):
+        return spec_blatantly_false(f.child, a)
+    if isinstance(f, And):
+        return all(spec_blatantly_true(c, a) for c in f.children)
+    if isinstance(f, Or):
+        return any(spec_blatantly_true(c, a) for c in f.children)
+    raise TypeError(f"not a formula node: {f!r}")

@@ -1,4 +1,10 @@
-"""Blatant falsity/truth: definition cases and exhaustive properties."""
+"""Blatant falsity/truth: the fold decides the paper's recursive definition.
+
+`blatantly_false` is the legality test of the same-goal rulesets: the And/Or
+fold gives the false constant.  Blatant truth is the fold giving the true
+constant.  Both are checked against the spec recursion in `_corpus`, against
+truth tables, and for exclusivity and duality under Not.
+"""
 
 import random
 
@@ -11,7 +17,6 @@ from qbfgames.formula import (
     Not,
     Or,
     blatantly_false,
-    blatantly_true,
     parse_formula,
     simplify,
 )
@@ -23,12 +28,19 @@ from _corpus import (
     all_partial_assignments,
     completion_mask,
     enumerate_formulas,
+    spec_blatantly_false,
+    spec_blatantly_true,
     truth_table,
 )
 
 
 def empty(n):
     return Assignment.empty(n)
+
+
+def blatantly_true(f, a):
+    """Blatant truth: the fold gives the true constant."""
+    return simplify(f, a) == TRUE
 
 
 class TestDefinitionCases:
@@ -90,8 +102,7 @@ class TestDefinitionCases:
 
 class TestExhaustiveProperties:
     """Soundness, mutual exclusivity, and duality over every formula with up
-    to two connectives and all 81 partial assignments (the acceptance suite
-    re-runs this at three connectives)."""
+    to two connectives and all 81 partial assignments."""
 
     def test_small_corpus(self):
         assigns = all_partial_assignments()
@@ -110,33 +121,44 @@ class TestExhaustiveProperties:
                 assert bt == blatantly_false(negated, a), (f, a)
                 assert bf == blatantly_true(negated, a), (f, a)
 
+    def test_spec_recursion_is_sound(self):
+        # the reference itself: sound against truth tables, never both
+        assigns = all_partial_assignments()
+        for f in enumerate_formulas(2):
+            tt = truth_table(f)
+            for a in assigns:
+                bf = spec_blatantly_false(f, a)
+                bt = spec_blatantly_true(f, a)
+                assert not (bf and bt), (f, a)
+                mask = completion_mask(a)
+                if bf:
+                    assert tt & mask == 0, (f, a)
+                if bt:
+                    assert (~tt) & mask == 0, (f, a)
+
 
 class TestSimplifyAgreement:
+    """The fold and the spec recursion agree in both directions.  This pins
+    the fold's rule set: contradiction detection (x AND not x -> false), for
+    one, would rule moves illegal that the paper allows."""
+
     def test_blatant_falsity_implies_simplified_constant(self):
-        # required direction: blatant falsity always collapses the simplified
-        # view to the false constant (dually for truth)
+        assigns = all_partial_assignments()
+        for f in enumerate_formulas(2):
+            for a in assigns:
+                if spec_blatantly_false(f, a):
+                    assert blatantly_false(f, a), (f, a)
+                if spec_blatantly_true(f, a):
+                    assert blatantly_true(f, a), (f, a)
+
+    def test_converse_observed_for_this_simplifier(self):
         assigns = all_partial_assignments()
         for f in enumerate_formulas(2):
             for a in assigns:
                 if blatantly_false(f, a):
-                    assert simplify(f, a) == FALSE, (f, a)
+                    assert spec_blatantly_false(f, a), (f, a)
                 if blatantly_true(f, a):
-                    assert simplify(f, a) == TRUE, (f, a)
-
-    def test_converse_observed_for_this_simplifier(self):
-        # With the fixed rule set (substitution, short-circuit, flattening,
-        # unwrapping, double negation) the converse holds as well: the
-        # simplifier never detects falsity that the blatancy recursion
-        # misses.  This is an observed property of this particular rule set,
-        # not a requirement; a stronger simplifier would break it.
-        assigns = all_partial_assignments()
-        for f in enumerate_formulas(2):
-            for a in assigns:
-                s = simplify(f, a)
-                if s == FALSE:
-                    assert blatantly_false(f, a), (f, a)
-                if s == TRUE:
-                    assert blatantly_true(f, a), (f, a)
+                    assert spec_blatantly_true(f, a), (f, a)
 
     def test_agreement_on_random_formulas(self):
         rng = random.Random(7)
@@ -144,5 +166,5 @@ class TestSimplifyAgreement:
             n = rng.randint(1, 8)
             f = random_formula(rng, n, budget=rng.randint(0, 12))
             a = Assignment(tuple(rng.choice((True, False, None)) for _ in range(n)))
-            assert blatantly_false(f, a) == (simplify(f, a) == FALSE)
-            assert blatantly_true(f, a) == (simplify(f, a) == TRUE)
+            assert blatantly_false(f, a) == spec_blatantly_false(f, a)
+            assert blatantly_true(f, a) == spec_blatantly_true(f, a)

@@ -1,11 +1,24 @@
-"""Property tests: the And/Or fold composes and shares, and `solve` agrees
-with the oracle `solve_naive` on every ruleset."""
+"""Property tests: the And/Or fold composes and shares, `solve` agrees with
+the oracle `solve_naive` on every ruleset, and every file format reads back
+what it writes."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbfgames.engine import ALL_CONFIGS, Position
+from qbfgames.cnf import Cnf, parse_dimacs
+from qbfgames.engine import (
+    ALL_CONFIGS,
+    GameTrace,
+    Locality,
+    Move,
+    Player,
+    Position,
+    format_position,
+    format_trace,
+    parse_position,
+    parse_trace,
+)
 from qbfgames.formula import (
     FALSE,
     TRUE,
@@ -19,6 +32,7 @@ from qbfgames.formula import (
     simplify,
     substitute,
 )
+from qbfgames.reductions import Color, Graph, format_graph, parse_graph
 from qbfgames.solver import solve, solve_naive
 
 MAX_VARS = 6
@@ -28,9 +42,17 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 SOLVER_PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
-def formulas(n):
+def parsed_not(child):
+    """Negation as `parse_formula` builds it: a negated literal, not a Not."""
+    if isinstance(child, Literal):
+        return Literal(child.var, not child.negated)
+    return Not(child)
+
+
+def formulas(n, negate=Not):
     """Arbitrary ASTs over x0..x{n-1}, not only simplified ones: constants,
-    Not over literals, single-child and nested same-kind connectives."""
+    Not over literals, single-child and nested same-kind connectives.  With
+    `negate=parsed_not` they are the trees the parser returns."""
     leaves = st.one_of(
         st.builds(Literal, st.integers(0, n - 1), st.booleans()),
         st.sampled_from((TRUE, FALSE)),
@@ -38,7 +60,7 @@ def formulas(n):
 
     def connectives(children):
         groups = st.lists(children, min_size=1, max_size=4).map(tuple)
-        return st.one_of(st.builds(Not, children), groups.map(And), groups.map(Or))
+        return st.one_of(st.builds(negate, children), groups.map(And), groups.map(Or))
 
     return st.recursive(leaves, connectives, max_leaves=14)
 
@@ -100,3 +122,68 @@ def test_solve_matches_naive(config, case):
     n, f = case
     position = Position.initial(f, n, config)
     assert solve(position).winner is solve_naive(position).winner
+
+
+TERNARY = st.sampled_from((True, False, None))
+
+
+@st.composite
+def positions(draw):
+    """Valid positions on any ruleset: pre-assigned variables (a prefix on
+    the local rulesets) and, at times, a mover that breaks the parity rule."""
+    n = draw(st.integers(1, MAX_VARS))
+    config = draw(st.sampled_from(ALL_CONFIGS))
+    if config.locality is Locality.LOCAL:
+        k = draw(st.integers(0, n))
+        values = draw(st.lists(st.booleans(), min_size=k, max_size=k)) + [None] * (n - k)
+    else:
+        values = draw(st.lists(TERNARY, min_size=n, max_size=n))
+    mover = draw(st.sampled_from((None, Player.P1, Player.P2)))
+    f = draw(formulas(n, negate=parsed_not))
+    return Position.initial(f, n, config, Assignment(values), mover)
+
+
+@PROPERTY
+@given(positions())
+def test_position_file_round_trip(p):
+    assert parse_position(format_position(p)) == p
+
+
+@PROPERTY
+@given(positions(), st.data())
+def test_trace_file_round_trip(p, data):
+    moves = data.draw(
+        st.lists(st.builds(Move, st.integers(0, p.n - 1), st.booleans()), max_size=6)
+    )
+    t = GameTrace(p, moves)
+    assert parse_trace(format_trace(t)) == t
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, MAX_VARS))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=10)) if n > 1 else []
+    colors = draw(st.lists(st.sampled_from(tuple(Color)), min_size=n, max_size=n))
+    return Graph.build(n, edges, colors)
+
+
+@PROPERTY
+@given(graphs())
+def test_graph_file_round_trip(g):
+    assert parse_graph(format_graph(g)) == g
+
+
+@st.composite
+def cnfs(draw):
+    n = draw(st.integers(0, MAX_VARS))
+    literal = st.tuples(st.integers(0, n - 1), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=4).map(tuple)
+    clauses = draw(st.lists(clause, max_size=8)) if n else []
+    return Cnf(n, tuple(clauses))
+
+
+@PROPERTY
+@given(cnfs(), st.text(alphabet="abc xyz019-", max_size=12))
+def test_dimacs_round_trip(cnf, comment):
+    assert parse_dimacs(cnf.to_dimacs(comment)) == cnf

@@ -3,9 +3,11 @@ and the generic abstract-game search."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from qbfgames import engine
 from qbfgames.engine import (
     ALL_CONFIGS,
     BY_PLAYER_LOCAL_DIFFERENT,
@@ -87,6 +89,36 @@ class TestSolve:
         assert warm.variation == cold.variation
         assert warm.nodes == 0  # everything served from the memo
 
+    def test_warm_memo_serves_a_later_position_of_its_session(self):
+        p = sample_position(EITHER_ANYWHERE_SAME)
+        memo = {}
+        first = solve(p, memo=memo)
+        later = engine.apply_move(p, first.variation[0])
+        warm = solve(later, memo=memo)
+        assert warm.nodes == 0
+        assert warm.variation == solve(later).variation
+
+    def test_warm_memo_refuses_another_root_mover(self):
+        # (or x0 x1) under either-anywhere-same: with P2 to move on an empty
+        # board P1 wins; P1's memo, keyed on the assignment alone, says P2
+        f = parse_formula("(or x0 x1)", 2)
+        first = Position.initial(f, 2, EITHER_ANYWHERE_SAME)
+        second = Position.initial(f, 2, EITHER_ANYWHERE_SAME, mover=Player.P2)
+        memo = {}
+        solve(first, memo=memo)
+        with pytest.raises(ValueError):
+            solve(second, memo=memo)
+        assert solve(second).winner is Player.P1
+
+    def test_warm_memo_refuses_another_formula_or_ruleset(self):
+        memo = {}
+        solve(sample_position(EITHER_ANYWHERE_SAME), memo=memo)
+        with pytest.raises(ValueError):
+            solve(sample_position(EITHER_ANYWHERE_DIFFERENT), memo=memo)
+        other = Position.initial(parse_formula("x0", SAMPLE_VARS), SAMPLE_VARS, EITHER_ANYWHERE_SAME)
+        with pytest.raises(ValueError):
+            solve(other, memo=memo)
+
     def test_budget_error(self):
         p = sample_position(EITHER_ANYWHERE_DIFFERENT)
         with pytest.raises(BudgetExceededError):
@@ -119,6 +151,26 @@ class TestOracleEquivalence:
     def test_naive_counts_more_nodes_than_memoized(self):
         p = sample_position(EITHER_ANYWHERE_DIFFERENT)
         assert solve_naive(p).nodes > solve(p).nodes
+
+    def test_naive_checks_legality_once_at_a_finished_position(self, monkeypatch):
+        checked = engine.blatantly_false
+        calls = {"all": 0, "in_winner": 0}
+
+        def counted(f, a):
+            calls["all"] += 1
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is engine.winner.__code__:
+                    calls["in_winner"] += 1
+                    break
+                frame = frame.f_back
+            return checked(f, a)
+
+        monkeypatch.setattr(engine, "blatantly_false", counted)
+        f = parse_formula("(and (or x0 x1) (or (not x1) x2) (or x3 (not x0)))", 4)
+        solve_naive(Position.initial(f, 4, EITHER_ANYWHERE_SAME))
+        assert calls["all"] > 0
+        assert calls["in_winner"] == 0
 
 
 class TestSimulation:
