@@ -322,17 +322,22 @@ class ReplayResult:
 def replay(trace: GameTrace) -> ReplayResult:
     """Apply the trace moves in order, recording a simplified snapshot per step.
 
-    Stops at the first illegal move and embeds the error.  The winner is
-    reported when the last reached position is terminal.
+    Each snapshot folds the previous one under the extended assignment,
+    which gives the same formula as folding the original (the fold
+    composes) from a smaller tree.  Stops at the first illegal move and
+    embeds the error.  The winner is reported when the last reached
+    position is terminal.
     """
     p = trace.initial
+    snapshot = p.formula
     steps = []
     for i, m in enumerate(trace.moves):
         try:
             p = apply_move(p, m)
         except IllegalMoveError as e:
             return ReplayResult(trace.initial, steps, e, i, p, None)
-        steps.append(ReplayStep(m, p, simplify(p.formula, p.assignment)))
+        snapshot = simplify(snapshot, p.assignment)
+        steps.append(ReplayStep(m, p, snapshot))
     won = final_winner(p) if is_terminal(p) else None
     return ReplayResult(trace.initial, steps, None, None, p, won)
 

@@ -317,6 +317,142 @@ def substitute(f: Formula, values) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+class Circuit:
+    """A formula compiled for incremental three-valued evaluation.
+
+    Negations are pushed down to the literals by De Morgan and nested
+    connectives of one kind merge, which leaves a tree of And/Or gates over
+    literals and constants in which a gate's kind always differs from its
+    parent's.  Each gate counts its children at its controlling value (false
+    for And, true for Or) and its open children.  The gate is at its
+    controlling value while the first count is non-zero, at the other value
+    once both are zero, and open otherwise, which is what `substitute` folds
+    it to.  `assign` and `unassign` update the counts
+    from the variable's occurrences upward and stop at the first gate whose
+    value does not change, so they take time in the variable's occurrences,
+    not in the formula's size.  Chaff (Moskewicz et al., DAC 2001) tracks
+    clause states with counters in the same way.
+
+    Gate 0 is an And over the whole formula, so `value` is True, False or
+    None exactly as `substitute(f, values)` is TRUE, FALSE or not a
+    constant.  `counts[g]` packs gate g's two counts as
+    controlling * base + open, with `base` above any gate's open count.
+    """
+
+    __slots__ = ("values", "counts", "_base", "_parent", "_occ")
+
+    def __init__(self, f: Formula, n: int):
+        self.values = [None] * n
+        self._occ = occ = [([], []) for _ in range(n)]
+        self._parent = parent = [-1]
+        is_or, ctrl, open_ = [False], [0], [0]
+
+        def add(children, negate, gate):
+            """Compile `children`, each negated if `negate`, under `gate`."""
+            gate_is_or = is_or[gate]
+            for f in children:
+                neg = negate
+                while type(f) is Not:
+                    f, neg = f.child, not neg
+                kind = type(f)
+                if kind is Literal:
+                    # (gate, hit) under each value: hit iff the literal then
+                    # takes the gate's controlling value
+                    hit = (f.negated != neg) == gate_is_or
+                    falses, trues = occ[f.var]
+                    falses.append((gate, hit))
+                    trues.append((gate, not hit))
+                    open_[gate] += 1
+                elif kind is Const:
+                    if (f.value != neg) == gate_is_or:
+                        ctrl[gate] += 1
+                elif kind is And or kind is Or:
+                    child_is_or = (kind is Or) != neg
+                    if child_is_or == gate_is_or:
+                        add(f.children, neg, gate)
+                        continue
+                    child = len(is_or)
+                    is_or.append(child_is_or)
+                    ctrl.append(0)
+                    open_.append(0)
+                    parent.append(gate)
+                    add(f.children, neg, child)
+                    # A gate that constants decide stays decided.  At its
+                    # controlling value it is at the parent's other value.
+                    if not ctrl[child]:
+                        if open_[child]:
+                            open_[gate] += 1
+                        else:
+                            ctrl[gate] += 1
+                else:
+                    raise TypeError(f"not a formula node: {f!r}")
+
+        add((f,), False, 0)
+        self._base = base = max(open_) + 1
+        self.counts = [c * base + o for c, o in zip(ctrl, open_)]
+
+    @property
+    def value(self):
+        """The root's three-valued value: True, False, or None when open."""
+        count = self.counts[0]
+        if count >= self._base:
+            return False
+        return None if count else True
+
+    def assign(self, var: int, value: bool):
+        """Set an unassigned variable and return the root's new value."""
+        if self.values[var] is not None:
+            raise ValueError(f"variable x{var} is already assigned")
+        self.values[var] = value
+        counts, parent, base = self.counts, self._parent, self._base
+        step = base - 1
+        for gate, hit in self._occ[var][value]:
+            while True:
+                count = counts[gate]
+                if hit:
+                    counts[gate] = count + step
+                    if count >= base:
+                        break
+                else:
+                    count -= 1
+                    counts[gate] = count
+                    if count:
+                        break
+                # The gate took a value.  A gate and its parent differ in
+                # kind, so its controlling value is the parent's other one.
+                gate = parent[gate]
+                if gate < 0:
+                    break
+                hit = not hit
+        return self.value
+
+    def unassign(self, var: int):
+        """Undo `assign(var, ...)` and return the root's value."""
+        value = self.values[var]
+        if value is None:
+            raise ValueError(f"variable x{var} is not assigned")
+        self.values[var] = None
+        counts, parent, base = self.counts, self._parent, self._base
+        step = base - 1
+        for gate, hit in self._occ[var][value]:
+            while True:
+                count = counts[gate]
+                if hit:
+                    count -= step
+                    counts[gate] = count
+                    if count >= base:
+                        break
+                else:
+                    counts[gate] = count + 1
+                    if count:
+                        break
+                gate = parent[gate]
+                if gate < 0:
+                    break
+                hit = not hit
+        return self.value
+
+
 def free_variables(f: Formula) -> set:
     """Indices of all variables occurring in f."""
     out = set()

@@ -24,7 +24,6 @@ from .engine import (
     BY_PLAYER_ANYWHERE_SAME,
     EITHER_ANYWHERE_DIFFERENT,
     EITHER_ANYWHERE_SAME,
-    EITHER_LOCAL_DIFFERENT,
     EITHER_LOCAL_SAME,
     Player,
     Position,
@@ -390,11 +389,44 @@ def check_p2c(graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Reduction
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 
 
+def qbf_truth(cnf: Cnf) -> Outcome:
+    """Truth of Ex0 Ax1 Ex2 ... cnf, read straight off the clauses.
+
+    This is the either-local-different game on the CNF, with P1 as the
+    existential player, decided without the formula layer or `solve`: clause
+    i is bit i of a mask of clauses no assignment so far satisfies, and a
+    clause still in the mask when its highest variable is assigned is false.
+    `nodes` counts the quantifier prefixes visited; the outcome carries no
+    variation.
+    """
+    satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
+    closes = [0] * cnf.n  # var -> clauses whose highest variable it is
+    for bit, clause in enumerate(cnf.clauses):
+        for var, negated in clause:
+            satisfies[var][not negated] |= 1 << bit
+        closes[max(var for var, _ in clause)] |= 1 << bit
+    nodes = 0
+
+    def holds(var, unsatisfied):
+        # every clause closes below cnf.n, so a non-empty mask has var < n
+        nonlocal nodes
+        nodes += 1
+        if not unsatisfied:
+            return True
+        exists = var % 2 == 0
+        for mask in satisfies[var]:
+            rest = unsatisfied & ~mask
+            if (not rest & closes[var] and holds(var + 1, rest)) == exists:
+                return exists
+        return not exists
+
+    return Outcome(Player.P1 if holds(0, (1 << len(cnf.clauses)) - 1) else Player.P2, nodes=nodes)
+
+
 def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
-    """Alternating-quantifier truth of the CNF vs first-player win of the
-    padded either-local-same game."""
-    source_position = Position.initial(cnf.to_formula(), cnf.n, EITHER_LOCAL_DIFFERENT)
-    source = solve(source_position, node_budget)
+    """Alternating-quantifier truth of the CNF, by `qbf_truth`, vs
+    first-player win of the padded either-local-same game."""
+    source = qbf_truth(cnf)
     reduced = solve(qbf_cnf_to_either_local_same(cnf), node_budget)
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 

@@ -1,12 +1,15 @@
 """Exact winner determination.
 
-`solve` runs win/loss backward induction memoized on the assignment vector
-(the formula, ruleset, variable count and the root mover's side of the
-parity rule are constants within one solve session, so the assignment fixes
-the mover).  `solve_naive` is the independent oracle: plain recursion
-straight over the engine rules, no memoization, no shortcuts.  `simulate_local_by_player` plays out the two
-choice-free rulesets in linear time.  `solve_abstract` applies the same
-induction to any finite two-player game behind a small interface.
+`solve` runs win/loss backward induction on a compiled `Circuit`, memoized
+on the assignment as a base-4 integer (the formula, ruleset, variable count
+and the root mover's side of the parity rule are constants within one solve
+session, so the assignment fixes the mover).  Its `nodes` counts visited
+positions; under the different goal a position whose fold is already a
+constant is a leaf.  `solve_naive` is the independent oracle: plain
+recursion straight over the engine rules, no memoization, no shortcuts.
+`simulate_local_by_player` plays out the two choice-free rulesets in linear
+time.  `solve_abstract` applies the same induction to any finite two-player
+game behind a small interface.
 """
 
 from __future__ import annotations
@@ -25,7 +28,11 @@ from .engine import (
     final_winner,
     legal_moves,
 )
-from .formula import Const, simplify, substitute
+from .formula import Circuit
+
+# `solve` folds through `Circuit`; the fold's own entry points stay bound
+# here because perfbench/layers.py traces calls to them through this module.
+from .formula import simplify, substitute  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_NAIVE_LIMIT = 12
@@ -71,13 +78,23 @@ def solve(
 ) -> Outcome:
     """Optimal-play winner by memoized backward induction.
 
+    The formula is compiled once into a `Circuit`, which gives the root's
+    three-valued fold after each move; a same-goal move is illegal iff it
+    turns the root false.  Under the different goal a position whose root is
+    already decided is a leaf: its winner is fixed whatever is played.
+    `nodes` counts the positions visited, such leaves included.
+
     The principal variation follows the first winning move in the normative
     order (ascending variable, false before true), or the first legal move
-    from losing positions.  A `memo` dict may be passed back in to warm-start
-    further solves in the same session: the same formula, variable count and
-    ruleset, with the root mover on the same side of the parity rule.  The
-    memo keys on the assignment alone, so the first solve binds the memo to
-    its session and any other session raises ValueError.
+    from losing positions; below a decided different-goal root every move
+    wins or every move loses, so the line goes on with the first candidate
+    move of each position.  A `memo` dict may be passed back in to
+    warm-start further solves in the same session: the same formula,
+    variable count and ruleset, with the root mover on the same side of the
+    parity rule.  The memo keys on the assignment alone, as a base-4 integer
+    with digit 0 (unassigned), 1 (false) or 2 (true) for variable i at 4^i,
+    so the first solve binds the memo to its session and any other session
+    raises ValueError.
     """
     config = position.config
     n = position.n
@@ -91,18 +108,34 @@ def solve(
     session = (position.formula, n, config, position.mover is parity_mover)
     if memo.setdefault(_SESSION, session) != session:
         raise ValueError("memo belongs to another formula, ruleset or root mover")
+    circuit = Circuit(position.formula, n)
+    assign, unassign = circuit.assign, circuit.unassign
     values = list(position.assignment.values)
+    root_key = 0
+    for var, value in position.assignment.items():
+        assign(var, value)
+        root_key += (1 + value) << 2 * var
     nodes = 0
 
-    def search(simp, mover, k):
+    def search(root, mover, k, key):
         nonlocal nodes
-        key = tuple(values)
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
+        opponent = mover.opponent
+        if root is not None:
+            # Assigning more variables cannot change a decided root.
+            if not same:
+                result = (p1 if root else p2, None)
+                memo[key] = result
+                return result[0]
+            if not root:
+                # every move keeps the fold false, so none is legal
+                memo[key] = (opponent, None)
+                return opponent
         if local:
             cand_vars = (k,) if k < n else ()
         else:
@@ -111,21 +144,25 @@ def solve(
             cand_values = (True,) if mover is p1 else (False,)
         else:
             cand_values = (False, True)
-        opponent = mover.opponent
         first_legal = None
         winning = None
         for var in cand_vars:
             for value in cand_values:
-                values[var] = value
-                child = substitute(simp, values)
-                # the `blatantly_false` rule, on the residual: illegal iff it folds to false
-                if same and type(child) is Const and not child.value:
-                    values[var] = None
-                    continue
+                if root is None:
+                    child = assign(var, value)
+                    # the `blatantly_false` rule: illegal iff the fold is false
+                    if same and child is False:
+                        unassign(var)
+                        continue
+                else:
+                    child = root
                 if first_legal is None:
                     first_legal = Move(var, value)
-                w = search(child, opponent, k + 1)
+                values[var] = value
+                w = search(child, opponent, k + 1, key + ((1 + value) << 2 * var))
                 values[var] = None
+                if root is None:
+                    unassign(var)
                 if w is mover:
                     winning = Move(var, value)
                     break
@@ -133,27 +170,29 @@ def solve(
                 break
         if winning is not None:
             result = (mover, winning)
-        elif first_legal is not None:
-            result = (opponent, first_legal)
-        elif same:
-            result = (opponent, None)
         else:
-            # different goal with every variable assigned: simp is constant
-            result = (p1 if simp.value else p2, None)
+            # a same-goal mover with no legal move loses
+            result = (opponent, first_legal)
         memo[key] = result
         return result[0]
 
-    root_simplified = simplify(position.formula, position.assignment)
-    won = search(root_simplified, position.mover, position.assignment.assigned_count)
+    won = search(circuit.value, position.mover, position.assignment.assigned_count, root_key)
 
     variation = []
-    walk = list(position.assignment.values)
+    key = root_key
     while True:
-        move = memo[tuple(walk)][1]
+        move = memo[key][1]
         if move is None:
             break
         variation.append(move)
-        walk[move.var] = move.value
+        values[move.var] = move.value
+        key += (1 + move.value) << 2 * move.var
+    if not same:
+        mover = position.mover if len(variation) % 2 == 0 else position.mover.opponent
+        for var in range(n):
+            if values[var] is None:
+                variation.append(Move(var, mover is p1 if by_player else False))
+                mover = mover.opponent
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 

@@ -1,4 +1,5 @@
-"""Formula AST: parsing, rendering, evaluation, simplification."""
+"""Formula AST: parsing, rendering, evaluation, simplification, and the
+incremental `Circuit` checked against the fold."""
 
 import itertools
 import random
@@ -11,6 +12,7 @@ from qbfgames.formula import (
     TRUE,
     And,
     Assignment,
+    Circuit,
     Const,
     FormulaSyntaxError,
     Literal,
@@ -31,7 +33,7 @@ from qbfgames.formula import (
 )
 from qbfgames.generators import random_formula
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas
 
 
 def sample_formula():
@@ -236,6 +238,70 @@ class TestSimplify:
             var = rng.choice(open_vars)
             extended = a.assign(var, rng.random() < 0.5)
             assert substitute(s, extended.values) == simplify(f, extended)
+
+
+def fold_value(f, values):
+    """True, False or None as `substitute` folds f to TRUE, FALSE or not a constant."""
+    s = substitute(f, values)
+    return s.value if type(s) is Const else None
+
+
+def walk_circuit(f, n, steps):
+    """Assign `steps` in order and unwind them, checking the circuit's root
+    against the fold at every step and its counters after the unwind."""
+    circuit = Circuit(f, n)
+    compiled = list(circuit.counts)
+    assert circuit.value == fold_value(f, circuit.values)
+    for var, value in steps:
+        assert circuit.assign(var, value) == fold_value(f, circuit.values), (f, steps)
+    for var, _ in reversed(steps):
+        assert circuit.unassign(var) == fold_value(f, circuit.values), (f, steps)
+    assert circuit.values == [None] * n
+    assert circuit.counts == compiled
+
+
+class TestCircuit:
+    def test_negations_pushed_to_literals(self):
+        # not (x0 and not (x1 or false)) = (not x0) or x1
+        f = parse_formula("(not (and x0 (not (or x1 false))))", 2)
+        circuit = Circuit(f, 2)
+        assert circuit.value is None
+        assert circuit.assign(0, True) is None
+        assert circuit.assign(1, False) is False
+        assert circuit.unassign(1) is None
+        assert circuit.assign(1, True) is True
+
+    def test_constants_fix_their_gates(self):
+        assert Circuit(TRUE, 0).value is True
+        assert Circuit(FALSE, 0).value is False
+        f = parse_formula("(or (and x0 false) (and x1 true))", 2)
+        circuit = Circuit(f, 2)
+        assert circuit.assign(0, True) is None
+        assert circuit.assign(1, True) is True
+
+    def test_exhaustive_corpus_walks(self):
+        rng = random.Random(17)
+        for f in enumerate_formulas(3):
+            order = rng.sample(range(4), 4)
+            walk_circuit(f, 4, [(var, rng.random() < 0.5) for var in order])
+
+    def test_random_formula_walks(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            f = random_formula(rng, n, budget=rng.randint(0, 12))
+            if rng.random() < 0.3:
+                f = Not(And((f, TRUE))) if rng.random() < 0.5 else Or((FALSE, Not(f)))
+            order = rng.sample(range(n), rng.randint(0, n))
+            walk_circuit(f, n, [(var, rng.random() < 0.5) for var in order])
+
+    def test_assign_and_unassign_refuse_the_wrong_state(self):
+        circuit = Circuit(parse_formula("(or x0 x1)", 2), 2)
+        circuit.assign(0, False)
+        with pytest.raises(ValueError):
+            circuit.assign(0, True)
+        with pytest.raises(ValueError):
+            circuit.unassign(1)
 
 
 class TestFreeVariables:

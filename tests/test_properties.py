@@ -1,6 +1,6 @@
-"""Property tests: the And/Or fold composes and shares, `solve` agrees with
-the oracle `solve_naive` on every ruleset, and every file format reads back
-what it writes."""
+"""Property tests: the And/Or fold composes and shares, the incremental
+`Circuit` follows it, `solve` agrees with the oracle `solve_naive` on every
+ruleset, and every file format reads back what it writes."""
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from qbfgames.formula import (
     TRUE,
     And,
     Assignment,
+    Circuit,
     Const,
     Literal,
     Not,
@@ -113,6 +114,33 @@ def test_fold_shares_a_residual_it_does_not_touch(case, data):
         for var in range(n)
     ]
     assert substitute(g, values) is g
+
+
+@st.composite
+def walks(draw):
+    """(n, f, steps): a formula and an assign order over some of its variables."""
+    n = draw(st.integers(1, MAX_VARS))
+    f = draw(formulas(n))
+    order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return n, f, [(var, draw(st.booleans())) for var in order]
+
+
+def fold_value(f, values):
+    s = substitute(f, values)
+    return s.value if type(s) is Const else None
+
+
+@PROPERTY
+@given(walks())
+def test_circuit_follows_the_fold_and_unwinds(case):
+    n, f, steps = case
+    circuit = Circuit(f, n)
+    compiled = list(circuit.counts)
+    for var, value in steps:
+        assert circuit.assign(var, value) == fold_value(f, circuit.values)
+    for var, _ in reversed(steps):
+        assert circuit.unassign(var) == fold_value(f, circuit.values)
+    assert circuit.counts == compiled
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)

@@ -10,8 +10,10 @@ from qbfgames.engine import (
     BY_PLAYER_ANYWHERE_SAME,
     EITHER_ANYWHERE_DIFFERENT,
     EITHER_ANYWHERE_SAME,
+    EITHER_LOCAL_DIFFERENT,
     EITHER_LOCAL_SAME,
     Player,
+    Position,
 )
 from qbfgames.formula import (
     TRUE,
@@ -29,6 +31,7 @@ from qbfgames.generators import (
     random_positive_cnf,
     random_snort_graph,
 )
+from qbfgames import reductions
 from qbfgames.reductions import (
     Color,
     Graph,
@@ -46,10 +49,11 @@ from qbfgames.reductions import (
     parse_graph,
     positive_cnf_to_bpad,
     qbf_cnf_to_either_local_same,
+    qbf_truth,
     snort_to_position,
     toy_positive_equivalence_check,
 )
-from qbfgames.solver import solve
+from qbfgames.solver import Outcome, solve, solve_naive
 
 
 class TestGraphType:
@@ -242,6 +246,29 @@ class TestQbfCnfReduction:
         for _ in range(60):
             cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
             assert check_qbf_cnf(cnf).agree
+
+    def test_qbf_truth_matches_naive_game_solve(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            cnf = random_cnf(rng, n, rng.randint(1, 10), rng.randint(1, 3))
+            game = Position.initial(cnf.to_formula(), n, EITHER_LOCAL_DIFFERENT)
+            assert qbf_truth(cnf).winner is solve_naive(game).winner, cnf
+        assert qbf_truth(Cnf(0, ())).winner is Player.P1
+
+    def test_source_side_does_not_use_solve(self, monkeypatch):
+        # a solve that flips every winner must show up as disagreements
+        real_solve = reductions.solve
+
+        def flipped(position, *args, **kwargs):
+            out = real_solve(position, *args, **kwargs)
+            return Outcome(out.winner.opponent, out.variation, out.nodes)
+
+        monkeypatch.setattr(reductions, "solve", flipped)
+        rng = random.Random(11)
+        for _ in range(20):
+            cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
+            assert not check_qbf_cnf(cnf).agree
 
 
 class TestPositiveCnf:

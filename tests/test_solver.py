@@ -19,8 +19,10 @@ from qbfgames.engine import (
     Move,
     Player,
     Position,
+    parse_trace,
     replay,
 )
+from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import TRUE, Assignment, parse_formula
 from qbfgames.generators import random_position
 from qbfgames.reductions import (
@@ -40,7 +42,7 @@ from qbfgames.solver import (
     solve_naive,
 )
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas
 
 
 def sample_position(config):
@@ -119,6 +121,19 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(other, memo=memo)
 
+    def test_warm_memo_serves_a_decided_different_goal_root(self):
+        # x0=F decides (and x0 x1): the root is a leaf, and the line goes on
+        # with the first candidate of each position
+        f = parse_formula("(and x0 x1)", 3)
+        p = Position.initial(f, 3, EITHER_ANYWHERE_DIFFERENT, Assignment.from_pairs(3, [(0, False)]))
+        memo = {}
+        cold = solve(p, memo=memo)
+        assert (cold.winner, cold.nodes) == (Player.P2, 1)
+        assert cold.variation == [Move(1, False), Move(2, False)]
+        warm = solve(p, memo=memo)
+        assert warm.nodes == 0
+        assert (warm.winner, warm.variation) == (cold.winner, cold.variation)
+
     def test_budget_error(self):
         p = sample_position(EITHER_ANYWHERE_DIFFERENT)
         with pytest.raises(BudgetExceededError):
@@ -142,6 +157,18 @@ class TestOracleEquivalence:
             for _ in range(150):
                 p = random_position(rng, config, rng.randint(1, 8), rng.randint(1, 6))
                 assert solve(p).winner is solve_naive(p).winner
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_exhaustive_corpus(self, config):
+        # every formula over x0..x3 with up to two connectives, Not and the
+        # constants included: the oracle's winner, and a PV that plays out
+        # to a finished game won by that winner
+        for f in enumerate_formulas(2, ternary=False):
+            p = Position.initial(f, 4, config)
+            out = solve(p)
+            assert out.winner is solve_naive(p).winner, f
+            result = replay(GameTrace(p, out.variation))
+            assert result.error is None and result.winner is out.winner, f
 
     def test_naive_limit(self):
         p = Position.initial(parse_formula("x0", 13), 13, EITHER_LOCAL_DIFFERENT)
@@ -171,6 +198,25 @@ class TestOracleEquivalence:
         solve_naive(Position.initial(f, 4, EITHER_ANYWHERE_SAME))
         assert calls["all"] > 0
         assert calls["in_winner"] == 0
+
+
+# fixture name -> solve's (winner, nodes, PV) on the trace's initial position
+FIXTURE_SOLVES = {
+    "either-local-different": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-local-same": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-anywhere-different": (Player.P1, 1207, "x3=T x0=F x1=T x2=F x4=T x5=F x6=F"),
+    "either-anywhere-same": (Player.P1, 234, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "by-player-local-different": (Player.P2, 6, "x0=T x1=F x2=T x3=F x4=T x5=F x6=T"),
+    "by-player-local-same": (Player.P2, 5, "x0=T x1=F x2=T x3=F"),
+    "by-player-anywhere-different": (Player.P1, 144, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
+    "by-player-anywhere-same": (Player.P1, 206, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_solve_is_pinned(name):
+    out = solve(parse_trace(fixture_text(name)).initial)
+    assert (out.winner, out.nodes, " ".join(map(str, out.variation))) == FIXTURE_SOLVES[name]
 
 
 class TestSimulation:

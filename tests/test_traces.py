@@ -5,7 +5,7 @@ import pytest
 
 from qbfgames.engine import Player, format_trace, parse_trace, replay
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
-from qbfgames.formula import parse_formula, to_text
+from qbfgames.formula import parse_formula, simplify, to_text
 
 from _corpus import SAMPLE_TEXT, SAMPLE_VARS
 
@@ -129,6 +129,13 @@ def test_worked_game(name):
         assert step.simplified == expected, (
             f"{name} step {i + 1}: got {to_text(step.simplified)}, want {display}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(WORKED_GAMES))
+def test_snapshots_equal_a_fold_of_the_original(name):
+    # replay folds each snapshot from the one before it
+    for step in replay(parse_trace(fixture_text(name))).steps:
+        assert step.simplified == simplify(step.position.formula, step.position.assignment)
 
 
 @pytest.mark.parametrize("name", sorted(WORKED_GAMES))
