@@ -212,6 +212,19 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _check_verify_bounds(args):
+    """Reject counts and size bounds that would check nothing or could not
+    be sampled from."""
+    bounds = [("--count", args.count, 0)]
+    if args.kind in ("snort", "p2c"):
+        bounds.append(("--vertices", args.vertices, 0 if args.exhaustive else 1))
+    else:
+        bounds += [("--vars", args.vars, 1), ("--clauses", args.clauses, 1)]
+    for option, value, low in bounds:
+        if value < low:
+            raise ValueError(f"{option} must be at least {low}, got {value}")
+
+
 def _verify_instances(args, rng):
     """Yield (label, instance-text, check-result) triples for the chosen kind."""
     if args.kind in ("snort", "p2c"):
@@ -245,6 +258,7 @@ def _verify_instances(args, rng):
 
 
 def cmd_verify(args) -> int:
+    _check_verify_bounds(args)
     rng = random.Random(args.seed)
     checked = 0
     counterexample = None

@@ -31,7 +31,7 @@ from .engine import (
 from .formula import TRUE, And, Assignment, Literal, Or
 from .solver import (
     DEFAULT_NODE_BUDGET,
-    AbstractGame,
+    BudgetExceededError,
     Outcome,
     solve,
     solve_abstract,
@@ -109,7 +109,7 @@ def _check_snort_paint(graph: Graph):
             )
 
 
-class SnortGame(AbstractGame):
+class SnortGame:
     """Players paint uncolored vertices their own color (Blue = P1), never
     adjacent to the opposite color; a stuck player loses."""
 
@@ -150,7 +150,7 @@ class SnortGame(AbstractGame):
         return state[1].opponent
 
 
-class ProperTwoColoringGame(AbstractGame):
+class ProperTwoColoringGame:
     """Either player paints any uncolored vertex either color, never matching
     a neighbor; the last painter wins (normal play)."""
 
@@ -235,7 +235,7 @@ class PositiveCnfInstance:
         return all(clause & true_vars for clause in self.clauses)
 
 
-class PositiveCnfGame(AbstractGame):
+class PositiveCnfGame:
     """True assigns true, False assigns false, any unassigned variable;
     the formula's final value decides the winner (True = P1)."""
 
@@ -389,15 +389,15 @@ def check_p2c(graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Reduction
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 
 
-def qbf_truth(cnf: Cnf) -> Outcome:
+def qbf_truth(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     """Truth of Ex0 Ax1 Ex2 ... cnf, read straight off the clauses.
 
     This is the either-local-different game on the CNF, with P1 as the
     existential player, decided without the formula layer or `solve`: clause
     i is bit i of a mask of clauses no assignment so far satisfies, and a
     clause still in the mask when its highest variable is assigned is false.
-    `nodes` counts the quantifier prefixes visited; the outcome carries no
-    variation.
+    `nodes` counts the quantifier prefixes visited, against `node_budget`;
+    the outcome carries no variation.
     """
     satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
     closes = [0] * cnf.n  # var -> clauses whose highest variable it is
@@ -411,6 +411,8 @@ def qbf_truth(cnf: Cnf) -> Outcome:
         # every clause closes below cnf.n, so a non-empty mask has var < n
         nonlocal nodes
         nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(node_budget)
         if not unsatisfied:
             return True
         exists = var % 2 == 0
@@ -426,7 +428,7 @@ def qbf_truth(cnf: Cnf) -> Outcome:
 def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
     """Alternating-quantifier truth of the CNF, by `qbf_truth`, vs
     first-player win of the padded either-local-same game."""
-    source = qbf_truth(cnf)
+    source = qbf_truth(cnf, node_budget)
     reduced = solve(qbf_cnf_to_either_local_same(cnf), node_budget)
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 

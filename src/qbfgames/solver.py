@@ -5,20 +5,22 @@ on the assignment as a base-4 integer (the formula, ruleset, variable count
 and the root mover's side of the parity rule are constants within one solve
 session, so the assignment fixes the mover).  Its `nodes` counts visited
 positions; under the different goal a position whose fold is already a
-constant is a leaf.  `solve_naive` is the independent oracle: plain
+constant is a leaf.  On the two by-player-local rulesets every position has
+at most one move, so `solve` walks the one forced line in at most n + 1
+nodes, however long it is.  `solve_naive` is the independent oracle: plain
 recursion straight over the engine rules, no memoization, no shortcuts.
-`simulate_local_by_player` plays out the two choice-free rulesets in linear
-time.  `solve_abstract` applies the same induction to any finite two-player
-game behind a small interface.
+`solve_abstract` applies the same induction to any finite two-player game
+that has the six methods it calls; it is a separate search on purpose, so
+that a reduction check's source side shares no code with `solve`.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .engine import (
     BooleanChoice,
-    GameTrace,
     Goal,
     Locality,
     Move,
@@ -34,7 +36,9 @@ from .formula import Circuit
 # here because perfbench/layers.py traces calls to them through this module.
 from .formula import simplify, substitute  # noqa: F401
 
-DEFAULT_NODE_BUDGET = 10**8
+# The memo gains at most one entry per counted node, so the node budget also
+# bounds memo memory: 10**7 entries at about 200 B each is about 2 GB.
+DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_NAIVE_LIMIT = 12
 
 # The memo key under which `solve` records the session a memo belongs to.
@@ -56,10 +60,6 @@ class NaiveLimitError(Exception):
         super().__init__(f"naive solver limited to {limit} variables, got {n}")
         self.n = n
         self.limit = limit
-
-
-class UnsupportedConfigError(Exception):
-    """The operation only applies to specific ruleset configurations."""
 
 
 @dataclass
@@ -176,7 +176,13 @@ def solve(
         memo[key] = result
         return result[0]
 
-    won = search(circuit.value, position.mover, position.assignment.assigned_count, root_key)
+    # `search` recurses once per move; a line has at most n moves.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n)
+    try:
+        won = search(circuit.value, position.mover, position.assignment.assigned_count, root_key)
+    finally:
+        sys.setrecursionlimit(limit)
 
     variation = []
     key = root_key
@@ -220,58 +226,14 @@ def solve_naive(position: Position, var_limit: int = DEFAULT_NAIVE_LIMIT) -> Out
     return Outcome(winner=search(position), variation=None, nodes=nodes)
 
 
-def simulate_local_by_player(position: Position):
-    """Play out a by-player-local game move by move.
+def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
+    """Backward induction over a finite two-player game, memoized on state.
 
-    These rulesets admit at most one legal move per position, so the game is
-    a single forced line; cost is one blatancy check per move.  Returns
-    (Outcome, GameTrace); the outcome's node count equals the number of
-    moves played.
+    `game` provides `initial_state()`, `mover(state) -> Player`,
+    `legal_moves(state) -> list`, `apply(state, move)`,
+    `is_terminal(state) -> bool` and `winner(state) -> Player`; states must
+    be hashable.
     """
-    config = position.config
-    if not (
-        config.locality is Locality.LOCAL
-        and config.choice is BooleanChoice.BY_PLAYER
-    ):
-        raise UnsupportedConfigError(
-            f"simulation applies to by-player-local rulesets, not {config.name}"
-        )
-    p = position
-    moves = []
-    while True:
-        step = legal_moves(p)
-        if not step:
-            break
-        moves.append(step[0])
-        p = apply_move(p, step[0])
-    outcome = Outcome(winner=final_winner(p), variation=list(moves), nodes=len(moves))
-    return outcome, GameTrace(position, moves)
-
-
-class AbstractGame:
-    """Finite two-player game with alternating movers; states must be hashable."""
-
-    def initial_state(self):
-        raise NotImplementedError
-
-    def mover(self, state) -> Player:
-        raise NotImplementedError
-
-    def legal_moves(self, state) -> list:
-        raise NotImplementedError
-
-    def apply(self, state, move):
-        raise NotImplementedError
-
-    def is_terminal(self, state) -> bool:
-        raise NotImplementedError
-
-    def winner(self, state) -> Player:
-        raise NotImplementedError
-
-
-def solve_abstract(game: AbstractGame, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
-    """Backward induction over an AbstractGame, memoized on state."""
     memo = {}
     nodes = 0
 

@@ -1,8 +1,10 @@
-"""Shared test corpora: the worked-game formula, exhaustive small-formula
-enumeration, an independent bit-parallel truth-table oracle, and the paper's
-recursive definition of blatant falsity and truth."""
+"""Shared test corpora: the worked-game formula, long forced-line
+positions, exhaustive small-formula enumeration, an independent bit-parallel
+truth-table oracle, and the paper's recursive definition of blatant falsity
+and truth."""
 
 import itertools
+import random
 
 from qbfgames.formula import (
     FALSE,
@@ -22,6 +24,24 @@ SAMPLE_TEXT = (
     "(or x4 (not x6) x0) (or (not x2) (not x4) x3))"
 )
 SAMPLE_VARS = 7
+
+
+def forced_line_position_text(ruleset, n, seed=0):
+    """Position file: a by-player-local ruleset on a random 3-CNF over n
+    variables with 2n clauses, each true under x0=T, x1=F, x2=T, ..., the
+    line both by-player-local rulesets force.  So every move of that line is
+    legal and the game runs all n moves: under the same goal P2 wins when n
+    is even, and under the different goal P1 wins."""
+    rng = random.Random(seed)
+    clauses = []
+    while len(clauses) < 2 * n:
+        clause = [(var, rng.random() < 0.5) for var in sorted(rng.sample(range(n), 3))]
+        # a literal is true on the line iff it is negated exactly when var is odd
+        if any(negated == (var % 2 == 1) for var, negated in clause):
+            lits = " ".join(f"(not x{var})" if negated else f"x{var}" for var, negated in clause)
+            clauses.append(f"(or {lits})")
+    choice, locality, goal = ruleset.rsplit("-", 2)
+    return f"ruleset {choice} {locality} {goal}\nvars {n}\nassigned\n(and {' '.join(clauses)})\n"
 
 _NVARS = 4
 _FULL = (1 << (1 << _NVARS)) - 1  # 16 assignment slots -> 16-bit tables

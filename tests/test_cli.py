@@ -12,7 +12,7 @@ from qbfgames.engine import Move, Player, apply_move, parse_position
 from qbfgames.reductions import ReductionCheck
 from qbfgames.solver import Outcome, solve
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, forced_line_position_text
 
 SAMPLE_POSITION = (
     f"ruleset by-player local same\nvars {SAMPLE_VARS}\nassigned\n{SAMPLE_TEXT}\n"
@@ -93,6 +93,18 @@ class TestSolve:
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "solve", "no-such-file.pos")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "ruleset, winner", [("by-player-local-same", "P2"), ("by-player-local-different", "P1")]
+    )
+    def test_long_forced_line(self, capsys, tmp_path, ruleset, winner):
+        path = tmp_path / "long.pos"
+        path.write_text(forced_line_position_text(ruleset, 2000))
+        code, out, _ = run(capsys, "solve", str(path), "--json", "--pv")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["winner"] == winner
+        assert len(payload["pv"]) == 2000
 
 
 def nested_position(head, depth):
@@ -269,6 +281,23 @@ class TestVerify:
     def test_poscnf(self, capsys):
         code, out, _ = run(capsys, "verify", "poscnf", "--count", "40", "--seed", "2")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("qbf", "--count", "-3"), "--count"),
+            (("snort", "--exhaustive", "--vertices", "-1"), "--vertices"),
+            (("p2c", "--vertices", "0"), "--vertices"),
+            (("qbf", "--vars", "0"), "--vars"),
+            (("poscnf", "--clauses", "0"), "--clauses"),
+        ],
+        ids=["count", "exhaustive-vertices", "sampled-vertices", "vars", "clauses"],
+    )
+    def test_bad_bound_exits_2(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert option in err
 
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         lying = Outcome(winner=Player.P1)

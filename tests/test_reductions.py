@@ -53,7 +53,7 @@ from qbfgames.reductions import (
     snort_to_position,
     toy_positive_equivalence_check,
 )
-from qbfgames.solver import Outcome, solve, solve_naive
+from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_naive
 
 
 class TestGraphType:
@@ -246,6 +246,13 @@ class TestQbfCnfReduction:
         for _ in range(60):
             cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
             assert check_qbf_cnf(cnf).agree
+
+    def test_qbf_truth_keeps_the_node_budget(self):
+        # both clauses close at x21, so no prefix fails early and the
+        # search doubles every two variables (6,141 nodes unbudgeted)
+        cnf = Cnf(22, (((0, False), (21, False)), ((0, True), (21, False))))
+        with pytest.raises(BudgetExceededError):
+            qbf_truth(cnf, node_budget=1000)
 
     def test_qbf_truth_matches_naive_game_solve(self):
         rng = random.Random(12)

@@ -1,4 +1,4 @@
-"""Solvers: memoized search vs the naive oracle, the forced-line simulator,
+"""Solvers: memoized search vs the naive oracle, forced lines of any length,
 and the generic abstract-game search."""
 
 import itertools
@@ -19,6 +19,7 @@ from qbfgames.engine import (
     Move,
     Player,
     Position,
+    parse_position,
     parse_trace,
     replay,
 )
@@ -35,14 +36,12 @@ from qbfgames.reductions import (
 from qbfgames.solver import (
     BudgetExceededError,
     NaiveLimitError,
-    UnsupportedConfigError,
-    simulate_local_by_player,
     solve,
     solve_abstract,
     solve_naive,
 )
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas, forced_line_position_text
 
 
 def sample_position(config):
@@ -139,6 +138,21 @@ class TestSolve:
         with pytest.raises(BudgetExceededError):
             solve(p, node_budget=5)
 
+    def test_budget_bounds_the_memo(self):
+        # the memo gains at most one entry per counted node, plus the session entry
+        rng = random.Random(17)
+        for config in ALL_CONFIGS:
+            for _ in range(10):
+                p = random_position(rng, config, 8, 10)
+                nodes = solve(p).nodes
+                if nodes < 2:
+                    continue
+                budget = rng.randint(1, nodes - 1)
+                memo = {}
+                with pytest.raises(BudgetExceededError):
+                    solve(p, node_budget=budget, memo=memo)
+                assert len(memo) <= budget + 1
+
     def test_principal_variation_replays_to_reported_winner(self):
         rng = random.Random(21)
         for config in ALL_CONFIGS:
@@ -220,29 +234,27 @@ def test_fixture_solve_is_pinned(name):
 
 
 class TestSimulation:
+    """`solve` on the two by-player-local rulesets, where every position has
+    at most one move, so the game is one forced line."""
+
     def test_forced_same_goal_line(self):
-        out, trace = simulate_local_by_player(sample_position(BY_PLAYER_LOCAL_SAME))
+        out = solve(sample_position(BY_PLAYER_LOCAL_SAME))
         assert out.winner is Player.P2
         assert out.variation == [
             Move(0, True), Move(1, False), Move(2, True), Move(3, False)
         ]
-        assert out.nodes == 4
+        assert out.nodes == 5
 
     def test_forced_different_goal_line(self):
-        out, trace = simulate_local_by_player(sample_position(BY_PLAYER_LOCAL_DIFFERENT))
+        out = solve(sample_position(BY_PLAYER_LOCAL_DIFFERENT))
         assert out.winner is Player.P2
         assert len(out.variation) == 7
-        assert trace.moves == out.variation
 
     def test_constant_true_formula(self):
         p = Position.initial(TRUE, 2, BY_PLAYER_LOCAL_DIFFERENT)
-        out, trace = simulate_local_by_player(p)
+        out = solve(p)
         assert out.variation == [Move(0, True), Move(1, False)]
         assert out.winner is Player.P1
-
-    def test_wrong_config_rejected(self):
-        with pytest.raises(UnsupportedConfigError):
-            simulate_local_by_player(sample_position(EITHER_LOCAL_DIFFERENT))
 
     def test_matches_naive_and_touches_at_most_n(self):
         rng = random.Random(41)
@@ -250,10 +262,26 @@ class TestSimulation:
             for _ in range(80):
                 n = rng.randint(1, 8)
                 p = random_position(rng, config, n, rng.randint(1, 6))
-                out, _ = simulate_local_by_player(p)
-                assert out.nodes <= n
+                out = solve(p)
+                assert out.nodes <= n - p.assignment.assigned_count + 1
                 assert out.winner is solve_naive(p).winner
-                assert out.winner is solve(p).winner
+
+    @pytest.mark.parametrize(
+        "ruleset, winner", [("by-player-local-same", "P2"), ("by-player-local-different", "P1")]
+    )
+    def test_long_forced_line(self, ruleset, winner):
+        # one recursive call per move, far past the default recursion limit
+        n = 2000
+        limit = sys.getrecursionlimit()
+        p = parse_position(forced_line_position_text(ruleset, n))
+        out = solve(p)
+        assert out.winner is Player[winner]
+        assert out.nodes <= n + 1
+        assert len(out.variation) == n
+        assert sys.getrecursionlimit() == limit
+        with pytest.raises(BudgetExceededError):
+            solve(p, node_budget=n // 2)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestAbstractGames:
