@@ -444,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return args.func(args)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)

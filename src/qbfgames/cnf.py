@@ -7,26 +7,20 @@ the file format uses the usual 1-based signed integers with a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formula import And, Formula, Literal, Or, TRUE
+from .formula import And, Formula, Literal, Or, Record, TRUE
 
 
 class CnfError(ValueError):
     """Invalid CNF input (bad literals, empty clause, malformed DIMACS)."""
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(Record):
     """A conjunction of non-empty clauses over n variables."""
 
-    n: int
-    clauses: tuple  # of tuple[(var, negated), ...]
+    __slots__ = ("n", "clauses")  # clauses: tuples of (var, negated) pairs
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "clauses", tuple(tuple(clause) for clause in self.clauses)
-        )
+    def __init__(self, n: int, clauses):
+        super().__init__(n, tuple(tuple(clause) for clause in clauses))
         if self.n < 0:
             raise CnfError("variable count must be non-negative")
         for clause in self.clauses:
@@ -37,13 +31,6 @@ class Cnf:
                     raise CnfError(f"literal variable x{var} out of range")
                 if not isinstance(negated, bool):
                     raise CnfError(f"negation flag must be bool, got {negated!r}")
-
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
-
-    def is_positive(self) -> bool:
-        return all(not negated for clause in self.clauses for _, negated in clause)
 
     def to_formula(self) -> Formula:
         """And of Or nodes; clauses stay Or-wrapped even when single-literal."""

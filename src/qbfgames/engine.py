@@ -13,13 +13,13 @@ moves first from an empty assignment and is the True/Even side everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .formula import (
     Assignment,
     Formula,
     FormulaError,
+    Record,
     blatantly_false,
     evaluate,
     free_variables,
@@ -53,13 +53,10 @@ class Player(Enum):
         return Player.P2 if self is Player.P1 else Player.P1
 
 
-@dataclass(frozen=True, slots=True)
-class RulesetConfig:
+class RulesetConfig(Record):
     """The three toggles; eight values total."""
 
-    choice: BooleanChoice
-    locality: Locality
-    goal: Goal
+    __slots__ = ("choice", "locality", "goal")
 
     @property
     def name(self) -> str:
@@ -156,15 +153,10 @@ class NonTerminalPositionError(Exception):
     """winner() called on a position that still has legal moves."""
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
+class Position(Record):
     """Formula, variable count, assignment, ruleset, and player to move."""
 
-    formula: Formula
-    n: int
-    assignment: Assignment
-    config: RulesetConfig
-    mover: Player
+    __slots__ = ("formula", "n", "assignment", "config", "mover")
 
     @classmethod
     def initial(
@@ -292,31 +284,25 @@ def final_winner(p: Position) -> Player:
     return p.mover.opponent
 
 
-@dataclass
-class GameTrace:
+class GameTrace(Record):
     """An initial position plus an ordered move list."""
 
-    initial: Position
-    moves: list
+    __slots__ = ("initial", "moves")
+    __hash__ = None
 
 
-@dataclass
-class ReplayStep:
-    move: Move
-    position: Position
-    simplified: Formula
+class ReplayStep(Record):
+    """A move, the position it leads to, and that position's formula folded."""
+
+    __slots__ = ("move", "position", "simplified")
+    __hash__ = None
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(Record):
     """Outcome of replaying a trace; illegal moves are reported, not raised."""
 
-    initial: Position
-    steps: list
-    error: IllegalMoveError | None
-    error_index: int | None
-    final: Position
-    winner: Player | None
+    __slots__ = ("initial", "steps", "error", "error_index", "final", "winner")
+    __hash__ = None
 
 
 def replay(trace: GameTrace) -> ReplayResult:

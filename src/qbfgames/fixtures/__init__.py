@@ -4,8 +4,6 @@ Each fixture is a trace file replaying a full worked game; the expected
 winner is noted in the file's comment line.
 """
 
-from importlib import resources
-
 FIXTURE_NAMES = (
     "either-local-different",
     "by-player-local-same",
@@ -20,6 +18,8 @@ FIXTURE_NAMES = (
 
 def fixture_text(name: str) -> str:
     """Contents of a bundled trace; `name` may omit the .trace suffix."""
+    from importlib import resources  # costs tens of ms at start-up
+
     if not name.endswith(".trace"):
         name += ".trace"
     base = name[: -len(".trace")]

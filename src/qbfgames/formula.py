@@ -23,8 +23,6 @@ literals the same way, so parse -> to_text -> parse is a fixpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Deepest parenthesis nesting `parse_formula` accepts.  `evaluate`,
 # `substitute` and `to_text` spend at most two Python frames per level, so
 # this keeps every recursive walk well inside the default recursion limit.
@@ -61,7 +59,55 @@ class UnassignedVariableError(FormulaError):
         self.var = var
 
 
-class Formula:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value whose fields are its class's `__slots__`.
+
+    Equality goes by type and fields, the hash by the tuple of fields, and
+    `repr` names each field.  Setting or deleting an attribute raises
+    AttributeError, so fields are stored with `object.__setattr__`: this
+    `__init__` stores its arguments in slot order, and a subclass that
+    normalises or validates calls it (the formula nodes and `Assignment`,
+    built in bulk by parsing and folding, store theirs directly).  A class
+    that is not meant to be hashed sets `__hash__ = None`.  Copy and pickle
+    rebuild a record from its fields through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        if len(args) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} arguments")
+        for name, arg in zip(self.__slots__, args):
+            _set(self, name, arg)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Formula(Record):
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
     __slots__ = ()
@@ -70,38 +116,36 @@ class Formula:
         return to_text(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Const(Formula):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Literal(Formula):
-    var: int
-    negated: bool = False
+    __slots__ = ("var", "negated")
+
+    def __init__(self, var: int, negated: bool = False):
+        _set(self, "var", var)
+        _set(self, "negated", negated)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
-    children: tuple
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children):
+        _set(self, "children", tuple(children))
         if not self.children:
             raise ValueError("And requires at least one child; use Const(True)")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
-    children: tuple
+    __slots__ = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children):
+        _set(self, "children", tuple(children))
         if not self.children:
             raise ValueError("Or requires at least one child; use Const(False)")
 
@@ -143,18 +187,17 @@ def or_(*parts: Formula) -> Formula:
     return Or(tuple(parts))
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(Record):
     """Per-variable ternary state: a tuple holding True, False, or None.
 
     Values are never overwritten; `assign` returns a new Assignment and
     refuses to touch an already-assigned variable.
     """
 
-    values: tuple
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values):
+        _set(self, "values", tuple(values))
 
     @classmethod
     def empty(cls, n: int) -> "Assignment":
@@ -466,20 +509,6 @@ def free_variables(f: Formula) -> set:
         elif isinstance(node, (And, Or)):
             stack.extend(node.children)
     return out
-
-
-def node_count(f: Formula) -> int:
-    """Number of AST nodes in f."""
-    count = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
-    return count
 
 
 def to_text(f: Formula) -> str:

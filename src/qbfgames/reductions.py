@@ -15,7 +15,6 @@ first mover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .cnf import Cnf
@@ -28,7 +27,7 @@ from .engine import (
     Player,
     Position,
 )
-from .formula import TRUE, And, Assignment, Literal, Or
+from .formula import TRUE, And, Assignment, Literal, Or, Record
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -60,13 +59,14 @@ class NegationError(PositiveCnfError):
     """A negated literal where only positive ones are allowed."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph with optional per-vertex paint."""
+class Graph(Record):
+    """Undirected graph with optional per-vertex paint.
 
-    n_vertices: int
-    edges: frozenset  # of (i, j) pairs with i < j
-    colors: tuple  # of Color, length n_vertices
+    `edges` is a frozenset of (i, j) pairs with i < j, and `colors` a tuple
+    of one Color per vertex.
+    """
+
+    __slots__ = ("n_vertices", "edges", "colors")
 
     @classmethod
     def build(cls, n_vertices: int, edges, colors=None) -> "Graph":
@@ -192,17 +192,13 @@ class ProperTwoColoringGame:
         return state[1].opponent
 
 
-@dataclass(frozen=True)
-class PositiveCnfInstance:
+class PositiveCnfInstance(Record):
     """Negation-free CNF with clause width at most 3."""
 
-    n: int
-    clauses: tuple  # of frozenset[int]
+    __slots__ = ("n", "clauses")  # clauses: frozensets of variables
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "clauses", tuple(frozenset(clause) for clause in self.clauses)
-        )
+    def __init__(self, n: int, clauses):
+        super().__init__(n, tuple(frozenset(clause) for clause in clauses))
         if self.n < 0:
             raise PositiveCnfError("variable count must be non-negative")
         for clause in self.clauses:
@@ -359,14 +355,11 @@ def toy_positive_to_ead(
     )
 
 
-@dataclass
-class ReductionCheck:
-    """Dual-solve result for one instance."""
+class ReductionCheck(Record):
+    """Dual-solve result for one instance: each side's winner and Outcome."""
 
-    source_winner: Player
-    reduced_winner: Player
-    source_outcome: Outcome
-    reduced_outcome: Outcome
+    __slots__ = ("source_winner", "reduced_winner", "source_outcome", "reduced_outcome")
+    __hash__ = None
 
     @property
     def agree(self) -> bool:
@@ -451,11 +444,12 @@ def toy_positive_equivalence_check(
     """Solve the instance with and without the per-player value restriction.
 
     Lifting the restriction never helps either player on a negation-free
-    formula, so the winners should always agree; source is the restricted
-    (by-player-anywhere-different) game, reduced the free
-    (either-anywhere-different) one.
+    formula, so the winners should always agree.  Source is the restricted
+    game, Schaefer's positive CNF game played by `solve_abstract` without
+    the formula layer; reduced is the free (either-anywhere-different)
+    formula game under `solve`.
     """
-    source = solve(positive_cnf_to_bpad(instance, first_player), node_budget)
+    source = solve_abstract(PositiveCnfGame(instance, first_player), node_budget)
     reduced = solve(toy_positive_to_ead(instance, first_player), node_budget)
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 

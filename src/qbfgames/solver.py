@@ -17,7 +17,6 @@ that a reduction check's source side shares no code with `solve`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .engine import (
     BooleanChoice,
@@ -30,7 +29,7 @@ from .engine import (
     final_winner,
     legal_moves,
 )
-from .formula import Circuit
+from .formula import Circuit, Record
 
 # `solve` folds through `Circuit`; the fold's own entry points stay bound
 # here because perfbench/layers.py traces calls to them through this module.
@@ -62,13 +61,14 @@ class NaiveLimitError(Exception):
         self.limit = limit
 
 
-@dataclass
-class Outcome:
+class Outcome(Record):
     """Optimal-play result: winner, one optimal line, and search effort."""
 
-    winner: Player
-    variation: list | None = None
-    nodes: int = 0
+    __slots__ = ("winner", "variation", "nodes")
+    __hash__ = None
+
+    def __init__(self, winner: Player, variation: list | None = None, nodes: int = 0):
+        super().__init__(winner, variation, nodes)
 
 
 def solve(

@@ -1,7 +1,7 @@
 """Shared test corpora: the worked-game formula, long forced-line
 positions, exhaustive small-formula enumeration, an independent bit-parallel
-truth-table oracle, and the paper's recursive definition of blatant falsity
-and truth."""
+truth-table oracle, the paper's recursive definition of blatant falsity
+and truth, and the node count and sign check the shape tests read."""
 
 import itertools
 import random
@@ -172,3 +172,22 @@ def spec_blatantly_true(f, a):
     if isinstance(f, Or):
         return any(spec_blatantly_true(c, a) for c in f.children)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def node_count(f) -> int:
+    """Number of AST nodes in f."""
+    count = 0
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (And, Or)):
+            stack.extend(node.children)
+    return count
+
+
+def is_positive(cnf) -> bool:
+    """True iff no literal of the CNF is negated."""
+    return all(not negated for clause in cnf.clauses for _, negated in clause)

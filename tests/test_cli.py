@@ -116,6 +116,17 @@ def nested_position(head, depth):
     return f"ruleset either anywhere same\nvars 1\nassigned\n{formula}\n"
 
 
+@pytest.mark.parametrize("budget, expected", [("-1", 2), ("0", 3)])
+@pytest.mark.parametrize("argv", [("solve",), ("verify", "qbf"), ("play", "--human", "2")],
+                         ids=["solve", "verify", "play"])
+def test_budget_bounds(capsys, sample_position_file, argv, budget, expected):
+    if argv[0] != "verify":
+        argv = (argv[0], sample_position_file, *argv[1:])
+    code, _, err = run(capsys, *argv, "--budget", budget)
+    assert code == expected
+    assert ("--budget" in err) == (expected == 2)
+
+
 class TestNestingLimit:
     @pytest.mark.parametrize("head", ["and", "not"])
     def test_too_deep_exits_2_with_one_line(self, capsys, tmp_path, head):
@@ -330,7 +341,7 @@ class TestGen:
         from qbfgames.cnf import parse_dimacs
 
         cnf = parse_dimacs(out)
-        assert cnf.n == 7 and cnf.clause_count == 4
+        assert cnf.n == 7 and len(cnf.clauses) == 4
         assert all(len(c) == 3 for c in cnf.clauses)
 
     def test_poscnf_positive(self, capsys):

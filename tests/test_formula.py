@@ -23,7 +23,6 @@ from qbfgames.formula import (
     and_,
     evaluate,
     free_variables,
-    node_count,
     not_,
     or_,
     parse_formula,
@@ -33,7 +32,7 @@ from qbfgames.formula import (
 )
 from qbfgames.generators import random_formula
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas, node_count
 
 
 def sample_formula():

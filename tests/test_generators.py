@@ -24,6 +24,8 @@ from qbfgames.generators import (
 )
 from qbfgames.reductions import Color, parse_graph, format_graph
 
+from _corpus import is_positive
+
 
 class TestDeterminism:
     def test_same_seed_same_cnf(self):
@@ -47,7 +49,7 @@ class TestShapes:
     def test_cnf_shape(self):
         cnf = random_cnf(random.Random(1), 7, 4, 3)
         assert cnf.n == 7
-        assert cnf.clause_count == 4
+        assert len(cnf.clauses) == 4
         for clause in cnf.clauses:
             assert len({var for var, _ in clause}) == 3
 
@@ -58,7 +60,7 @@ class TestShapes:
 
     def test_positive_instances_have_no_negations(self):
         inst = random_positive_cnf(random.Random(3), 6, 10)
-        assert inst.to_cnf().is_positive()
+        assert is_positive(inst.to_cnf())
         for clause in inst.clauses:
             assert 1 <= len(clause) <= 3
 

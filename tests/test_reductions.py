@@ -21,7 +21,6 @@ from qbfgames.formula import (
     Literal,
     Or,
     free_variables,
-    node_count,
     to_text,
 )
 from qbfgames.generators import (
@@ -54,6 +53,21 @@ from qbfgames.reductions import (
     toy_positive_equivalence_check,
 )
 from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_naive
+
+from _corpus import node_count
+
+
+@pytest.fixture
+def flipped_solve(monkeypatch):
+    """A `solve` that flips every winner: a check whose source side does not
+    use `solve` then reports a disagreement on every instance."""
+    real_solve = reductions.solve
+
+    def flipped(position, *args, **kwargs):
+        out = real_solve(position, *args, **kwargs)
+        return Outcome(out.winner.opponent, out.variation, out.nodes)
+
+    monkeypatch.setattr(reductions, "solve", flipped)
 
 
 class TestGraphType:
@@ -239,7 +253,7 @@ class TestQbfCnfReduction:
         for _ in range(30):
             cnf = random_cnf(rng, rng.randint(1, 7), rng.randint(1, 8))
             grown = node_count(qbf_cnf_to_either_local_same(cnf).formula)
-            assert grown <= node_count(cnf.to_formula()) + 3 * cnf.clause_count
+            assert grown <= node_count(cnf.to_formula()) + 3 * len(cnf.clauses)
 
     def test_winner_preserved_random(self):
         rng = random.Random(10)
@@ -263,15 +277,7 @@ class TestQbfCnfReduction:
             assert qbf_truth(cnf).winner is solve_naive(game).winner, cnf
         assert qbf_truth(Cnf(0, ())).winner is Player.P1
 
-    def test_source_side_does_not_use_solve(self, monkeypatch):
-        # a solve that flips every winner must show up as disagreements
-        real_solve = reductions.solve
-
-        def flipped(position, *args, **kwargs):
-            out = real_solve(position, *args, **kwargs)
-            return Outcome(out.winner.opponent, out.variation, out.nodes)
-
-        monkeypatch.setattr(reductions, "solve", flipped)
+    def test_source_side_does_not_use_solve(self, flipped_solve):
         rng = random.Random(11)
         for _ in range(20):
             cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
@@ -312,6 +318,13 @@ class TestPositiveCnf:
         for _ in range(60):
             inst = random_positive_cnf(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert check_positive_cnf(inst).agree
+
+    @pytest.mark.parametrize("check", [check_positive_cnf, toy_positive_equivalence_check])
+    def test_source_side_does_not_use_solve(self, flipped_solve, check):
+        rng = random.Random(13)
+        for _ in range(20):
+            inst = random_positive_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
+            assert not check(inst).agree
 
     def test_toy_equivalence_examples(self):
         single = PositiveCnfInstance(1, (frozenset({0}),))
