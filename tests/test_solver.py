@@ -1,6 +1,7 @@
 """Solvers: memoized search vs the naive oracle, forced lines of any length,
 and the generic abstract-game search."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -184,6 +185,28 @@ class TestOracleEquivalence:
             result = replay(GameTrace(p, out.variation))
             assert result.error is None and result.winner is out.winner, f
 
+    def test_line_rule(self):
+        # the winner plays the first legal move after which the oracle still
+        # gives them the game, the loser the first legal move, to the end
+        rng = random.Random(53)
+        for config in ALL_CONFIGS:
+            for _ in range(60):
+                p = random_position(rng, config, rng.randint(1, 7), rng.randint(1, 6))
+                out = solve(p)
+                q = p
+                for move in out.variation:
+                    moves = engine.legal_moves(q)
+                    if q.mover is out.winner:
+                        keeps = [
+                            m for m in moves
+                            if solve_naive(engine.apply_move(q, m)).winner is out.winner
+                        ]
+                        assert move == keeps[0]
+                    else:
+                        assert move == moves[0]
+                    q = engine.apply_move(q, move)
+                assert engine.legal_moves(q) == []
+
     def test_naive_limit(self):
         p = Position.initial(parse_formula("x0", 13), 13, EITHER_LOCAL_DIFFERENT)
         with pytest.raises(NaiveLimitError):
@@ -231,6 +254,22 @@ FIXTURE_SOLVES = {
 def test_fixture_solve_is_pinned(name):
     out = solve(parse_trace(fixture_text(name)).initial)
     assert (out.winner, out.nodes, " ".join(map(str, out.variation))) == FIXTURE_SOLVES[name]
+
+
+def test_solve_outputs_are_pinned():
+    # winner, nodes and PV of 800 seeded positions, 100 per ruleset with
+    # n <= 10, a quarter of them with the mover overridden
+    rng = random.Random(2024)
+    rows = []
+    for config in ALL_CONFIGS:
+        for _ in range(100):
+            p = random_position(rng, config, rng.randint(1, 10), rng.randint(1, 20))
+            if rng.random() < 0.25:
+                p = Position.initial(p.formula, p.n, config, p.assignment, p.mover.opponent)
+            out = solve(p)
+            rows.append((config.name, out.winner.name, out.nodes, [str(m) for m in out.variation]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "2bc3b0a8db729180e3febe8c85e95b0128958d29eb0c98e6878c215bc1c90bc4"
 
 
 class TestSimulation:
