@@ -34,7 +34,7 @@ from .engine import (
     replay,
 )
 from .fixtures import fixture_text
-from .formula import FormulaError, to_text
+from .formula import FormulaError, is_decimal, to_text
 from .generators import (
     enumerate_graphs_up_to,
     random_cnf,
@@ -319,7 +319,7 @@ def _parse_human_move(line: str):
     var_tok, val_tok = tokens
     if var_tok.lower().startswith("x"):
         var_tok = var_tok[1:]
-    if not var_tok.isdigit():
+    if not is_decimal(var_tok):
         return None
     val_tok = val_tok.lower()
     if val_tok in ("t", "true", "1"):

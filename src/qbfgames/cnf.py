@@ -7,7 +7,7 @@ the file format uses the usual 1-based signed integers with a
 
 from __future__ import annotations
 
-from .formula import And, Formula, Literal, Or, Record, TRUE
+from .formula import And, Formula, Literal, Or, Record, TRUE, is_decimal
 
 
 class CnfError(ValueError):
@@ -56,6 +56,13 @@ class Cnf(Record):
         return "\n".join(lines) + "\n"
 
 
+def _integer(tok: str) -> int:
+    """An optionally negative ASCII decimal; `int` also takes "١" and "1_0"."""
+    if not is_decimal(tok.removeprefix("-")):
+        raise ValueError(f"not an integer: {tok!r}")
+    return int(tok)
+
+
 def parse_dimacs(text: str) -> Cnf:
     """Read DIMACS CNF text; one clause per line, each terminated by 0."""
     n = None
@@ -70,8 +77,8 @@ def parse_dimacs(text: str) -> Cnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"bad problem line {line!r} (line {lineno})")
             try:
-                n = int(parts[2])
-                expected_clauses = int(parts[3])
+                n = _integer(parts[2])
+                expected_clauses = _integer(parts[3])
             except ValueError:
                 raise CnfError(f"bad problem line {line!r} (line {lineno})") from None
             if n < 0 or expected_clauses < 0:
@@ -80,7 +87,7 @@ def parse_dimacs(text: str) -> Cnf:
         if n is None:
             raise CnfError(f"clause before problem line (line {lineno})")
         try:
-            ints = [int(tok) for tok in line.split()]
+            ints = [_integer(tok) for tok in line.split()]
         except ValueError:
             raise CnfError(f"non-integer token in clause (line {lineno})") from None
         if not ints or ints[-1] != 0:

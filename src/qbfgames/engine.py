@@ -23,6 +23,7 @@ from .formula import (
     blatantly_false,
     evaluate,
     free_variables,
+    is_decimal,
     parse_formula,
     simplify,
     to_text,
@@ -104,24 +105,10 @@ BY_PLAYER_ANYWHERE_DIFFERENT = RulesetConfig(BooleanChoice.BY_PLAYER, Locality.A
 BY_PLAYER_ANYWHERE_SAME = RulesetConfig(BooleanChoice.BY_PLAYER, Locality.ANYWHERE, Goal.SAME)
 
 
-class Move:
+class Move(Record):
     """Write `value` into variable `var`."""
 
     __slots__ = ("var", "value")
-
-    def __init__(self, var: int, value: bool):
-        self.var = var
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Move)
-            and self.var == other.var
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.value))
 
     def __repr__(self):
         return f"x{self.var}={'T' if self.value else 'F'}"
@@ -369,7 +356,7 @@ def _parse_header(lines):
         raise PositionFormatError(str(e), lineno) from None
 
     lineno, tokens = take("vars")
-    if len(tokens) != 1 or not tokens[0].isdigit():
+    if len(tokens) != 1 or not is_decimal(tokens[0]):
         raise PositionFormatError("vars line needs one non-negative integer", lineno)
     n = int(tokens[0])
 
@@ -377,7 +364,7 @@ def _parse_header(lines):
     pairs = []
     for tok in tokens:
         var_part, sep, val_part = tok.partition("=")
-        if not sep or not var_part.isdigit() or val_part not in ("T", "F"):
+        if not sep or not is_decimal(var_part) or val_part not in ("T", "F"):
             raise PositionFormatError(
                 f"bad assigned token {tok!r}, expected <index>=T|F", lineno
             )
@@ -435,7 +422,7 @@ def parse_trace(text: str) -> GameTrace:
         if (
             len(parts) != 3
             or not parts[1].startswith("x")
-            or not parts[1][1:].isdigit()
+            or not is_decimal(parts[1][1:])
             or parts[2] not in ("T", "F")
         ):
             raise PositionFormatError(

@@ -557,6 +557,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def is_decimal(text: str) -> bool:
+    """True iff `text` is ASCII digits only; `str.isdigit` also takes "²" and "٣"."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_formula(text: str, n: int) -> Formula:
     """Parse formula text over n declared variables.
 
@@ -614,7 +619,7 @@ def parse_formula(text: str, n: int) -> Formula:
             return TRUE
         if tok == "false":
             return FALSE
-        if tok.startswith("x") and tok[1:].isdigit():
+        if tok.startswith("x") and is_decimal(tok[1:]):
             var = int(tok[1:])
             if var >= n:
                 raise VariableRangeError(var, n)

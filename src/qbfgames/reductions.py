@@ -27,7 +27,7 @@ from .engine import (
     Player,
     Position,
 )
-from .formula import TRUE, And, Assignment, Literal, Or, Record
+from .formula import TRUE, And, Assignment, Literal, Or, Record, is_decimal
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
@@ -472,15 +472,15 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "graph":
             if n is not None:
                 raise GraphFormatError(f"duplicate graph line (line {lineno})")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not is_decimal(parts[1]):
                 raise GraphFormatError(f"bad graph line {line!r} (line {lineno})")
             n = int(parts[1])
         elif parts[0] == "e":
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            if len(parts) != 3 or not is_decimal(parts[1]) or not is_decimal(parts[2]):
                 raise GraphFormatError(f"bad edge line {line!r} (line {lineno})")
             edges.append((int(parts[1]), int(parts[2])))
         elif parts[0] == "paint":
-            if len(parts) != 3 or not parts[1].isdigit() or parts[2] not in ("blue", "red"):
+            if len(parts) != 3 or not is_decimal(parts[1]) or parts[2] not in ("blue", "red"):
                 raise GraphFormatError(f"bad paint line {line!r} (line {lineno})")
             v = int(parts[1])
             if v in paint:

@@ -1,22 +1,25 @@
 """Exact winner determination.
 
-`solve` runs win/loss backward induction on a compiled `Circuit`, memoized
-on the assignment as a base-4 integer (the formula, ruleset, variable count
-and the root mover's side of the parity rule are constants within one solve
-session, so the assignment fixes the mover).  Its `nodes` counts visited
-positions; under the different goal a position whose fold is already a
-constant is a leaf.  On the two by-player-local rulesets every position has
-at most one move, so `solve` walks the one forced line in at most n + 1
-nodes, however long it is.  `solve_naive` is the independent oracle: plain
-recursion straight over the engine rules, no memoization, no shortcuts.
-`solve_abstract` applies the same induction to any finite two-player game
-that has the six methods it calls; it is a separate search on purpose, so
-that a reduction check's source side shares no code with `solve`.
+`solve` runs win/loss backward induction on a compiled `Circuit`.  Its memo
+maps the assignment, as a base-4 integer, to the winner and nothing else
+(the formula, ruleset, variable count and the root mover's side of the
+parity rule are constants within one solve session, so the assignment fixes
+the mover); the principal variation is read back from the winners after the
+search.  Its `nodes` counts visited positions; under the different goal a
+position whose fold is already a constant is a leaf.  On the two
+by-player-local rulesets every position has at most one move, so `solve`
+walks the one forced line in at most n + 1 nodes, however long it is.
+`solve_naive` is the independent oracle: plain recursion straight over the
+engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
+same induction to any finite two-player game that has the six methods it
+calls; it is a separate search on purpose, so that a reduction check's
+source side shares no code with `solve`.
 """
 
 from __future__ import annotations
 
 import sys
+from itertools import product
 
 from .engine import (
     BooleanChoice,
@@ -36,7 +39,8 @@ from .formula import Circuit, Record
 from .formula import simplify, substitute  # noqa: F401
 
 # The memo gains at most one entry per counted node, so the node budget also
-# bounds memo memory: 10**7 entries at about 200 B each is about 2 GB.
+# bounds memo memory: 10**7 entries, an int key and a shared `Player` at
+# about 100 B each, is about 1 GB.
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_NAIVE_LIMIT = 12
 
@@ -84,17 +88,20 @@ def solve(
     already decided is a leaf: its winner is fixed whatever is played.
     `nodes` counts the positions visited, such leaves included.
 
-    The principal variation follows the first winning move in the normative
-    order (ascending variable, false before true), or the first legal move
-    from losing positions; below a decided different-goal root every move
-    wins or every move loses, so the line goes on with the first candidate
-    move of each position.  A `memo` dict may be passed back in to
-    warm-start further solves in the same session: the same formula,
-    variable count and ruleset, with the root mover on the same side of the
-    parity rule.  The memo keys on the assignment alone, as a base-4 integer
-    with digit 0 (unassigned), 1 (false) or 2 (true) for variable i at 4^i,
-    so the first solve binds the memo to its session and any other session
-    raises ValueError.
+    The memo maps each visited position to its winner.  The principal
+    variation is read back from it with one rule, since the winner never
+    changes along an optimal line: moves are tried in the normative order
+    (ascending variable, false before true), the loser plays their first
+    legal move, and the winner their first legal move after which the memo
+    still gives them the game.  A position missing from the memo lies below
+    a decided different-goal root, where every move keeps the winner.
+
+    A `memo` dict may be passed back in to warm-start further solves in the
+    same session: the same formula, variable count and ruleset, with the
+    root mover on the same side of the parity rule.  The memo keys on the
+    assignment alone, as a base-4 integer with digit 0 (unassigned), 1
+    (false) or 2 (true) for variable i at 4^i, so the first solve binds the
+    memo to its session and any other session raises ValueError.
     """
     config = position.config
     n = position.n
@@ -109,72 +116,48 @@ def solve(
     if memo.setdefault(_SESSION, session) != session:
         raise ValueError("memo belongs to another formula, ruleset or root mover")
     circuit = Circuit(position.formula, n)
-    assign, unassign = circuit.assign, circuit.unassign
-    values = list(position.assignment.values)
+    assign, unassign, values = circuit.assign, circuit.unassign, circuit.values
     root_key = 0
     for var, value in position.assignment.items():
         assign(var, value)
         root_key += (1 + value) << 2 * var
     nodes = 0
 
+    def candidates(mover, k):
+        """The mover's candidate moves in the normative order: ascending
+        variable, false before true; a same-goal one may be illegal."""
+        if local:
+            vars_ = (k,) if k < n else ()
+        else:
+            vars_ = [i for i in range(n) if values[i] is None]
+        return product(vars_, (mover is p1,) if by_player else (False, True))
+
     def search(root, mover, k, key):
         nonlocal nodes
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
+        won = memo.get(key)
+        if won is not None:
+            return won
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
-        opponent = mover.opponent
-        if root is not None:
+        if root is not None and not same:
             # Assigning more variables cannot change a decided root.
-            if not same:
-                result = (p1 if root else p2, None)
-                memo[key] = result
-                return result[0]
-            if not root:
-                # every move keeps the fold false, so none is legal
-                memo[key] = (opponent, None)
-                return opponent
-        if local:
-            cand_vars = (k,) if k < n else ()
-        else:
-            cand_vars = [i for i in range(n) if values[i] is None]
-        if by_player:
-            cand_values = (True,) if mover is p1 else (False,)
-        else:
-            cand_values = (False, True)
-        first_legal = None
-        winning = None
-        for var in cand_vars:
-            for value in cand_values:
-                if root is None:
-                    child = assign(var, value)
-                    # the `blatantly_false` rule: illegal iff the fold is false
-                    if same and child is False:
-                        unassign(var)
-                        continue
-                else:
-                    child = root
-                if first_legal is None:
-                    first_legal = Move(var, value)
-                values[var] = value
-                w = search(child, opponent, k + 1, key + ((1 + value) << 2 * var))
-                values[var] = None
-                if root is None:
-                    unassign(var)
-                if w is mover:
-                    winning = Move(var, value)
-                    break
-            if winning is not None:
-                break
-        if winning is not None:
-            result = (mover, winning)
+            won = p1 if root else p2
         else:
             # a same-goal mover with no legal move loses
-            result = (opponent, first_legal)
-        memo[key] = result
-        return result[0]
+            won = opponent = mover.opponent
+            for var, value in candidates(mover, k):
+                child = assign(var, value)
+                # the `blatantly_false` rule: illegal iff the fold is false
+                wins = not (same and child is False) and (
+                    search(child, opponent, k + 1, key + ((1 + value) << 2 * var)) is mover
+                )
+                unassign(var)
+                if wins:
+                    won = mover
+                    break
+        memo[key] = won
+        return won
 
     # `search` recurses once per move; a line has at most n moves.
     limit = sys.getrecursionlimit()
@@ -184,21 +167,24 @@ def solve(
     finally:
         sys.setrecursionlimit(limit)
 
+    # The winner keeps the game along an optimal line: the loser plays their
+    # first legal move, the winner their first after which the memo does not
+    # give the game to the loser.  A child missing from the memo lies below a
+    # decided different-goal root, where every move keeps the winner.
     variation = []
-    key = root_key
+    lost = won.opponent
+    mover, k, key = position.mover, position.assignment.assigned_count, root_key
     while True:
-        move = memo[key][1]
-        if move is None:
+        for var, value in candidates(mover, k):
+            child_key = key + ((1 + value) << 2 * var)
+            legal = assign(var, value) is not False or not same
+            if legal and (mover is not won or memo.get(child_key) is not lost):
+                break
+            unassign(var)
+        else:
             break
-        variation.append(move)
-        values[move.var] = move.value
-        key += (1 + move.value) << 2 * move.var
-    if not same:
-        mover = position.mover if len(variation) % 2 == 0 else position.mover.opponent
-        for var in range(n):
-            if values[var] is None:
-                variation.append(Move(var, mover is p1 if by_player else False))
-                mover = mover.opponent
+        variation.append(Move(var, value))
+        mover, k, key = mover.opponent, k + 1, child_key
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 

@@ -385,6 +385,17 @@ class TestFileFormats:
             with pytest.raises(PositionFormatError):
                 parse_position(text)
 
+    def test_non_ascii_digits_are_format_errors(self):
+        for text, line in (
+            ("ruleset either local same\nvars ²\nassigned\nx0\n", 2),
+            ("ruleset either local same\nvars 2\nassigned ¹=T\nx0\n", 3),
+            ("ruleset either local same\nvars 2\nassigned\nx0\nmove x¹ T\n", 5),
+            ("ruleset either local same\nvars 2\nassigned\nx0\nmove x٠ T\n", 5),
+        ):
+            with pytest.raises(PositionFormatError) as err:
+                parse_trace(text)
+            assert err.value.line == line
+
     def test_trace_round_trip(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_SAME)
         t = GameTrace(p, [Move(6, False), Move(2, True)])

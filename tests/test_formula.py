@@ -107,6 +107,13 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 3
 
+    def test_non_ascii_digits_are_syntax_errors(self):
+        # `str.isdigit` takes superscripts and other scripts' digits
+        for text, n in (("x²", 3), ("x٣", 4), ("(and x0\n  x¹)", 2)):
+            with pytest.raises(FormulaSyntaxError) as err:
+                parse_formula(text, n)
+            assert (err.value.line, err.value.column) == ((2, 3) if "\n" in text else (1, 1))
+
     def test_variable_out_of_range(self):
         with pytest.raises(VariableRangeError) as err:
             parse_formula("(or x0 x7)", 7)

@@ -159,6 +159,17 @@ class TestDimacs:
             with pytest.raises(CnfError):
                 parse_dimacs(text)
 
+    def test_non_ascii_or_underscored_integers_are_errors(self):
+        # `int` takes "١" and "1_0"
+        for text, line in (
+            ("p cnf ١ 1\n1 0\n", 1),
+            ("p cnf 1_0 1\n1 0\n", 1),
+            ("p cnf 2 1\n١ 0\n", 2),
+            ("p cnf 20 1\n1_0 0\n", 2),
+        ):
+            with pytest.raises(CnfError, match=rf"\(line {line}\)"):
+                parse_dimacs(text)
+
     def test_graph_format_idempotent(self):
         rng = random.Random(19)
         for _ in range(20):

@@ -23,6 +23,7 @@ from qbfgames.engine import (
     ReplayResult,
     ReplayStep,
     RulesetConfig,
+    legal_moves,
 )
 from qbfgames.formula import And, Assignment, Const, Formula, Literal, Not, Or, to_text
 from qbfgames.reductions import Graph, PositiveCnfInstance, ReductionCheck
@@ -57,6 +58,7 @@ FROZEN = {
         RulesetConfig(BooleanChoice.EITHER, Locality.LOCAL, Goal.DIFFERENT),
     ),
     Position: (P, Position.initial(F, 2, EITHER_LOCAL_SAME), Q),
+    Move: (Move(0, True), legal_moves(P)[0], Move(0, False)),
     Graph: (Graph.build(2, [(0, 1)]), Graph.build(2, [(1, 0)]), Graph.build(2, [])),
     PositiveCnfInstance: (
         PositiveCnfInstance(2, ({0, 1},)),
@@ -113,6 +115,8 @@ def test_value_semantics(cls):
     assert a == b
     if issubclass(cls, Formula):
         assert repr(a) == to_text(a)
+    elif cls is Move:
+        assert repr(a) == "x0=T"
     else:
         assert repr(a) == dataclass_repr(a)
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):

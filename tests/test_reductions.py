@@ -108,6 +108,11 @@ class TestGraphType:
             with pytest.raises(GraphFormatError):
                 parse_graph(text)
 
+    def test_non_ascii_digits_are_format_errors(self):
+        for text in ("graph ²\n", "graph 2\ne ¹ 0\n", "graph 2\npaint ٠ red\n"):
+            with pytest.raises(GraphFormatError, match=rf"\(line {text.count(chr(10))}\)"):
+                parse_graph(text)
+
 
 class TestSnortReduction:
     def test_single_edge_formula(self):
