@@ -40,7 +40,7 @@ from .formula import simplify, substitute  # noqa: F401
 
 # The memo gains at most one entry per counted node, so the node budget also
 # bounds memo memory: 10**7 entries, an int key and a shared `Player` at
-# about 100 B each, is about 1 GB.
+# about 100 B each while n is below about 40 (a key has 2n bits), is 1 GB.
 DEFAULT_NODE_BUDGET = 10**7
 DEFAULT_NAIVE_LIMIT = 12
 
