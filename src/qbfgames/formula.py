@@ -6,8 +6,9 @@ declared count, and game state assigns each variable one of three values:
 true, false, or unassigned (represented as ``True`` / ``False`` / ``None``).
 
 Partial evaluation is one routine, `substitute(f, values)`.  `simplify` is
-that fold under an `Assignment`, and `blatantly_false`, the legality test of
-the same-goal rulesets, asks whether the fold gives the false constant.
+that fold under an `Assignment`, `blatantly_false`, the legality test of
+the same-goal rulesets, asks whether the fold gives the false constant, and
+`evaluate` is the fold too: it reads the constant the fold gives.
 
 The text format is parenthesized prefix notation:
 
@@ -23,10 +24,17 @@ literals the same way, so parse -> to_text -> parse is a fixpoint.
 
 from __future__ import annotations
 
-# Deepest parenthesis nesting `parse_formula` accepts.  `evaluate`,
-# `substitute` and `to_text` spend at most two Python frames per level, so
-# this keeps every recursive walk well inside the default recursion limit.
+import re
+
+# Deepest parenthesis nesting `parse_formula` accepts.  The recursive walks,
+# `substitute`, `to_text`, `Circuit`'s compile and the reader, spend at most
+# two Python frames per level, so this keeps each well inside the default
+# recursion limit.
 MAX_DEPTH = 256
+
+# A formula token: a parenthesis, or a run of anything but whitespace and
+# parentheses.  `\s` is `str.isspace`; only "\n" starts a new line.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 class FormulaError(Exception):
@@ -154,10 +162,6 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def lit(var: int, negated: bool = False) -> Literal:
-    return Literal(var, negated)
-
-
 def not_(f: Formula) -> Formula:
     """Negation builder; folds constants and literal signs, removes double Not."""
     if isinstance(f, Const):
@@ -252,21 +256,13 @@ class Assignment(Record):
 
 
 def evaluate(f: Formula, a: Assignment) -> bool:
-    """Standard Boolean semantics; every variable occurring in f must be assigned."""
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Literal):
-        v = a.values[f.var]
-        if v is None:
-            raise UnassignedVariableError(f.var)
-        return (not v) if f.negated else v
-    if isinstance(f, Not):
-        return not evaluate(f.child, a)
-    if isinstance(f, And):
-        return all(evaluate(c, a) for c in f.children)
-    if isinstance(f, Or):
-        return any(evaluate(c, a) for c in f.children)
-    raise TypeError(f"not a formula node: {f!r}")
+    """Standard Boolean semantics: the fold of f under a, which must be a
+    constant; otherwise raises UnassignedVariableError naming the lowest
+    variable left open in the fold."""
+    s = substitute(f, a.values)
+    if type(s) is Const:
+        return s.value
+    raise UnassignedVariableError(min(free_variables(s)))
 
 
 def blatantly_false(f: Formula, a: Assignment) -> bool:
@@ -526,37 +522,6 @@ def to_text(f: Formula) -> str:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def _tokenize(text: str):
-    tokens = []
-    line = 1
-    col = 0
-    start = None
-    word = []
-    for ch in text + "\n":
-        col += 1
-        if ch == "\n":
-            ends_word = True
-        elif ch in "()":
-            ends_word = True
-        elif ch.isspace():
-            ends_word = True
-        else:
-            if start is None:
-                start = (line, col)
-            word.append(ch)
-            continue
-        if word:
-            tokens.append(("".join(word), start[0], start[1]))
-            word = []
-            start = None
-        if ch in "()":
-            tokens.append((ch, line, col))
-        if ch == "\n":
-            line += 1
-            col = 0
-    return tokens
-
-
 def is_decimal(text: str) -> bool:
     """True iff `text` is ASCII digits only; `str.isdigit` also takes "²" and "٣"."""
     return text.isascii() and text.isdigit()
@@ -569,70 +534,61 @@ def parse_formula(text: str, n: int) -> Formula:
     nesting deeper than MAX_DEPTH, and VariableRangeError when an index is
     not below n.
     """
-    tokens = _tokenize(text)
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1, 1)
-    pos = 0
+    end = len(tokens)
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def error(message, offset):
+        line = text.count("\n", 0, offset) + 1
+        return FormulaSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
-    def take():
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            last = tokens[-1]
-            raise FormulaSyntaxError("unexpected end of input", last[1], last[2])
-        pos += 1
-        return tok
+    def token(i):
+        if i == end:
+            raise error("unexpected end of input", tokens[-1][1])
+        return tokens[i]
 
-    def parse_one(depth: int) -> Formula:
-        tok, line, col = take()
-        if tok == ")":
-            raise FormulaSyntaxError("unexpected ')'", line, col)
-        if tok != "(":
-            return parse_atom(tok, line, col)
-        if depth == MAX_DEPTH:
-            raise FormulaSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", line, col)
-        head, hline, hcol = take()
-        if head == "not":
-            child = parse_one(depth + 1)
-            expect_close()
-            if isinstance(child, Literal):
-                return Literal(child.var, not child.negated)
-            return Not(child)
-        if head in ("and", "or"):
-            children = [parse_one(depth + 1)]
+    def read(i, depth):
+        """The formula that starts at token i, and the index after it."""
+        tok, at = token(i)
+        if tok == "(":
+            if depth == MAX_DEPTH:
+                raise error(f"nesting deeper than {MAX_DEPTH} levels", at)
+            head, head_at = token(i + 1)
+            if head == "not":
+                child, i = read(i + 2, depth + 1)
+                tok, close_at = token(i)
+                if tok != ")":
+                    raise error(f"expected ')', got {tok!r}", close_at)
+                if type(child) is Literal:
+                    return Literal(child.var, not child.negated), i + 1
+                return Not(child), i + 1
+            if head != "and" and head != "or":
+                raise error(f"expected 'not', 'and' or 'or', got {head!r}", head_at)
+            children = []
+            i += 2
             while True:
-                nxt = peek()
-                if nxt is None:
-                    raise FormulaSyntaxError("missing ')'", line, col)
-                if nxt[0] == ")":
-                    take()
-                    break
-                children.append(parse_one(depth + 1))
-            return And(tuple(children)) if head == "and" else Or(tuple(children))
-        raise FormulaSyntaxError(f"expected 'not', 'and' or 'or', got {head!r}", hline, hcol)
-
-    def parse_atom(tok, line, col) -> Formula:
+                child, i = read(i, depth + 1)
+                children.append(child)
+                if i == end:
+                    raise error("missing ')'", at)
+                if tokens[i][0] == ")":
+                    return (And if head == "and" else Or)(tuple(children)), i + 1
+        if tok == ")":
+            raise error("unexpected ')'", at)
         if tok == "true":
-            return TRUE
+            return TRUE, i + 1
         if tok == "false":
-            return FALSE
+            return FALSE, i + 1
         if tok.startswith("x") and is_decimal(tok[1:]):
             var = int(tok[1:])
             if var >= n:
                 raise VariableRangeError(var, n)
-            return Literal(var, False)
-        raise FormulaSyntaxError(f"unrecognized token {tok!r}", line, col)
+            return Literal(var, False), i + 1
+        raise error(f"unrecognized token {tok!r}", at)
 
-    def expect_close():
-        tok, line, col = take()
-        if tok != ")":
-            raise FormulaSyntaxError(f"expected ')', got {tok!r}", line, col)
-
-    result = parse_one(0)
-    extra = peek()
-    if extra is not None:
-        raise FormulaSyntaxError(f"trailing input {extra[0]!r}", extra[1], extra[2])
+    result, i = read(0, 0)
+    if i < end:
+        tok, at = tokens[i]
+        raise error(f"trailing input {tok!r}", at)
     return result

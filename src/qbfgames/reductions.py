@@ -15,6 +15,7 @@ first mover.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 
 from .cnf import Cnf
@@ -415,7 +416,14 @@ def qbf_truth(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
                 return exists
         return not exists
 
-    return Outcome(Player.P1 if holds(0, (1 << len(cnf.clauses)) - 1) else Player.P2, nodes=nodes)
+    # `holds` recurses once per variable.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + cnf.n + 1)
+    try:
+        true = holds(0, (1 << len(cnf.clauses)) - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    return Outcome(Player.P1 if true else Player.P2, nodes=nodes)
 
 
 def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:

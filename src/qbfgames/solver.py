@@ -248,8 +248,15 @@ def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
         memo[state] = result
         return result[0]
 
+    # `search` recurses once per move, and a line never holds more
+    # positions than the search counts.
     state = game.initial_state()
-    won = search(state)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + node_budget + 1)
+    try:
+        won = search(state)
+    finally:
+        sys.setrecursionlimit(limit)
     variation = []
     while True:
         move = memo[state][1]

@@ -1,0 +1,53 @@
+"""Every top-level function and class of the package is used somewhere.
+
+A definition counts as used when its own module names it outside the
+definition, when another file imports it by name or reaches it as an
+attribute of its module (`formula.Record`), or when a string names it as
+`qbfgames.<module>:<name>`, the way perfbench and `[project.scripts]` do.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qbfgames"
+
+
+def module_name(path):
+    return path.parent.name if path.name == "__init__.py" else path.stem
+
+
+def references(nodes):
+    """(module or None, name) pairs that the syntax trees `nodes` refer to."""
+    found = set()
+    for node in (inner for outer in nodes for inner in ast.walk(outer)):
+        if isinstance(node, ast.Name):
+            found.add((None, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            owner = value.id if isinstance(value, ast.Name) else getattr(value, "attr", None)
+            found.add((owner, node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"qbfgames\.(\w+):(\w+)", node.value))
+    return found
+
+
+def test_every_top_level_definition_is_used():
+    sources = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    refs = {path: references([tree]) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = module_name(path)
+        elsewhere = set().union(*(r for other, r in refs.items() if other != path))
+        body = trees[path].body
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {name for _, name in references(n for n in body if n is not node)}
+            if node.name not in own and (module, node.name) not in elsewhere:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []

@@ -174,6 +174,17 @@ class TestEvaluate:
         a = Assignment((True, True, False, False, True, None, False))
         assert evaluate(sample_formula(), a) is False
 
+    def test_a_constant_fold_needs_no_open_variable(self):
+        # x0=T decides the Or, though the open x1 comes first
+        assert evaluate(Or((Literal(1), Literal(0))), Assignment((True, None))) is True
+
+    def test_open_residual_names_its_lowest_variable(self):
+        # x1=T folds (or x0 x1) away, so the residual is (or x3 x2)
+        f = parse_formula("(and (or x0 x1) (or x3 x2))", 4)
+        with pytest.raises(UnassignedVariableError) as err:
+            evaluate(f, Assignment((None, True, None, None)))
+        assert err.value.var == 2
+
 
 class TestSimplify:
     def test_first_move_display(self):

@@ -26,12 +26,16 @@ from qbfgames.formula import (
     Assignment,
     Circuit,
     Const,
+    FormulaSyntaxError,
     Literal,
     Not,
     Or,
+    VariableRangeError,
     free_variables,
+    parse_formula,
     simplify,
     substitute,
+    to_text,
 )
 from qbfgames.reductions import Color, Graph, format_graph, parse_graph
 from qbfgames.solver import solve, solve_naive
@@ -41,6 +45,7 @@ MAX_VARS = 6
 # Derandomized so the tier-1 run is reproducible; bounded so it stays short.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 SOLVER_PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+SOUP_PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
 def parsed_not(child):
@@ -215,3 +220,43 @@ def cnfs(draw):
 @given(cnfs(), st.text(alphabet="abc xyz019-", max_size=12))
 def test_dimacs_round_trip(cnf, comment):
     assert parse_dimacs(cnf.to_dimacs(comment)) == cnf
+
+
+# Parentheses and heads repeat so that more soups nest before they fail.
+SOUP_WORDS = ("(", ")") * 5 + ("and", "or", "not") * 3 + (
+    "xor", "true", "false", "x²", "x", "banana", *(f"x{i}" for i in range(13)))
+SOUP_GAPS = ("", " ", " ", "\t", "\r", "\n", "\r\n", "  \n ")
+
+
+def token_starts(text):
+    """(line, column) of the first character of each token: a parenthesis,
+    or a non-space character after a space, a parenthesis or nothing."""
+    starts, line, column, prev = set(), 1, 0, " "
+    for ch in text:
+        column += 1
+        if not ch.isspace() and (ch in "()" or prev.isspace() or prev in "()"):
+            starts.add((line, column))
+        if ch == "\n":
+            line, column = line + 1, 0
+        prev = ch
+    return starts
+
+
+@SOUP_PROPERTY
+@given(
+    st.lists(st.tuples(st.sampled_from(SOUP_GAPS), st.sampled_from(SOUP_WORDS)), max_size=16)
+    .map(lambda parts: "".join(gap + word for gap, word in parts)),
+    st.sampled_from(SOUP_GAPS),
+    st.sampled_from((13, 13, 13, 0, 5)),
+)
+def test_parse_round_trips_or_reports_a_token_start(body, tail, n):
+    text = body + tail
+    try:
+        f = parse_formula(text, n)
+    except VariableRangeError:
+        return
+    except FormulaSyntaxError as err:
+        starts = token_starts(text) or {(1, 1)}
+        assert (err.line, err.column) in starts
+        return
+    assert parse_formula(to_text(f), n) == f
