@@ -15,7 +15,6 @@ first mover.
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 
 from .cnf import Cnf
@@ -33,6 +32,7 @@ from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
     Outcome,
+    call_deep,
     solve,
     solve_abstract,
 )
@@ -417,12 +417,7 @@ def qbf_truth(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
         return not exists
 
     # `holds` recurses once per variable.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + cnf.n + 1)
-    try:
-        true = holds(0, (1 << len(cnf.clauses)) - 1)
-    finally:
-        sys.setrecursionlimit(limit)
+    true = call_deep(cnf.n + 1, holds, 0, (1 << len(cnf.clauses)) - 1)
     return Outcome(Player.P1 if true else Player.P2, nodes=nodes)
 
 

@@ -56,6 +56,17 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
+def call_deep(extra: int, fn, *args):
+    """fn(*args) with the recursion limit raised by `extra` levels, as far
+    as the interpreter's C int allows, and restored afterwards."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + min(extra, 2**31 - 1 - limit))
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 class NaiveLimitError(Exception):
     """solve_naive refused an instance above its variable bound."""
 
@@ -160,12 +171,8 @@ def solve(
         return won
 
     # `search` recurses once per move; a line has at most n moves.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n)
-    try:
-        won = search(circuit.value, position.mover, position.assignment.assigned_count, root_key)
-    finally:
-        sys.setrecursionlimit(limit)
+    won = call_deep(n, search, circuit.value, position.mover,
+                    position.assignment.assigned_count, root_key)
 
     # The winner keeps the game along an optimal line: the loser plays their
     # first legal move, the winner their first after which the memo does not
@@ -251,12 +258,7 @@ def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     # `search` recurses once per move, and a line never holds more
     # positions than the search counts.
     state = game.initial_state()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + node_budget + 1)
-    try:
-        won = search(state)
-    finally:
-        sys.setrecursionlimit(limit)
+    won = call_deep(node_budget + 1, search, state)
     variation = []
     while True:
         move = memo[state][1]

@@ -1,7 +1,8 @@
 """Shared test corpora: the worked-game formula, long forced-line
 positions, exhaustive small-formula enumeration, an independent bit-parallel
-truth-table oracle, the paper's recursive definition of blatant falsity
-and truth, and the node count and sign check the shape tests read."""
+truth-table oracle, a recursive reference evaluator, the paper's recursive
+definition of blatant falsity and truth, and the node count and sign check
+the shape tests read."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ from qbfgames.formula import (
     Literal,
     Not,
     Or,
+    UnassignedVariableError,
 )
 
 # Four 3-literal clauses over 7 variables; x5 never occurs.  Every bundled
@@ -55,7 +57,7 @@ for _b in range(1 << _NVARS):
 def truth_table(f):
     """16-bit table over x0..x3: bit b set iff f is true under assignment b.
 
-    Computed with plain bit arithmetic, independently of evaluate().
+    Computed with plain bit arithmetic, independently of the fold.
     """
     if isinstance(f, Const):
         return _FULL if f.value else 0
@@ -132,6 +134,25 @@ def enumerate_formulas(max_connectives=3, ternary=True):
         if max_connectives >= 2:
             out.extend(Not(f) for f in wide)
     return out
+
+
+def spec_evaluate(f, a):
+    """Standard Boolean semantics by plain recursion, kept as the reference
+    the fold is checked against; every variable in f must be assigned."""
+    if isinstance(f, Const):
+        return f.value
+    if isinstance(f, Literal):
+        v = a.values[f.var]
+        if v is None:
+            raise UnassignedVariableError(f.var)
+        return (not v) if f.negated else v
+    if isinstance(f, Not):
+        return not spec_evaluate(f.child, a)
+    if isinstance(f, And):
+        return all(spec_evaluate(c, a) for c in f.children)
+    if isinstance(f, Or):
+        return any(spec_evaluate(c, a) for c in f.children)
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def spec_blatantly_false(f, a):

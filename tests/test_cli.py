@@ -299,18 +299,22 @@ class TestVerify:
             ("qbf", "--vars", "1200", "--clauses", "1"),
             ("poscnf", "--vars", "1200", "--clauses", "1"),
             ("toy-poscnf", "--vars", "1200", "--clauses", "1"),
-            ("p2c", "--vertices", "1200", "--edge-prob", "0"),
         ],
         ids=lambda argv: argv[0],
     )
     def test_deep_source_side_exits_3(self, capsys, argv):
-        # seed 6 draws 1,176 variables or vertices, and the source search
-        # goes past 1,000 levels before it counts 1,100 nodes
+        # seed 6 draws 1,176 variables, and the source search goes past
+        # 1,000 levels before it counts 1,100 nodes
         code, out, err = run(capsys, "verify", *argv, "--count", "1", "--seed", "6",
                              "--budget", "1100")
         assert code == 3
         assert out == ""
         assert err == "error: node budget of 1100 exceeded\n"
+
+    def test_budget_past_c_int_is_accepted(self, capsys):
+        # the recursion allowance is capped where the interpreter's limit is
+        code, _, _ = run(capsys, "verify", "p2c", "--count", "1", "--budget", "3000000000")
+        assert code == 0
 
     @pytest.mark.parametrize(
         "argv, option",

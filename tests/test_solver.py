@@ -323,6 +323,31 @@ class TestSimulation:
         assert sys.getrecursionlimit() == limit
 
 
+class _Chain:
+    """A game of `length` forced moves; whoever cannot move loses."""
+
+    def __init__(self, length):
+        self.length = length
+
+    def initial_state(self):
+        return 0
+
+    def mover(self, state):
+        return Player.P1 if state % 2 == 0 else Player.P2
+
+    def legal_moves(self, state):
+        return [state]
+
+    def apply(self, state, move):
+        return state + 1
+
+    def is_terminal(self, state):
+        return state == self.length
+
+    def winner(self, state):
+        return self.mover(state).opponent
+
+
 class TestAbstractGames:
     def test_snort_single_vertex_first_player_wins(self):
         game = SnortGame(Graph.build(1, []))
@@ -361,6 +386,15 @@ class TestAbstractGames:
         game = SnortGame(Graph.build(4, [(0, 1), (2, 3)]))
         with pytest.raises(BudgetExceededError):
             solve_abstract(game, node_budget=2)
+
+    def test_deep_line_stops_at_the_budget(self):
+        # a line of 1,200 forced moves goes past the default recursion limit
+        game = _Chain(1200)
+        with pytest.raises(BudgetExceededError):
+            solve_abstract(game, node_budget=1100)
+        out = solve_abstract(game)
+        assert out.winner is Player.P2
+        assert out.variation == list(range(1200))
 
     def test_pv_is_playable(self):
         game = SnortGame(Graph.build(3, [(0, 1), (1, 2)]))
