@@ -34,7 +34,7 @@ from .engine import (
     replay,
 )
 from .fixtures import fixture_text
-from .formula import FormulaError, is_decimal, to_text
+from .formula import FormulaError, is_decimal, simplify, to_text
 from .generators import (
     enumerate_graphs_up_to,
     random_cnf,
@@ -338,7 +338,7 @@ def cmd_play(args) -> int:
     print(f"ruleset: {config.name}")
     print(f"you play {human.name} ({config.player_label(human)})")
     while True:
-        print(f"formula: {to_text(position.simplified())}")
+        print(f"formula: {to_text(simplify(position.formula, position.assignment))}")
         if is_terminal(position):
             final = final_winner(position)
             if config.goal is Goal.SAME:

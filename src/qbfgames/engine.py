@@ -136,10 +136,6 @@ class IllegalMoveError(Exception):
         self.reason = reason
 
 
-class NonTerminalPositionError(Exception):
-    """winner() called on a position that still has legal moves."""
-
-
 class Position(Record):
     """Formula, variable count, assignment, ruleset, and player to move."""
 
@@ -186,10 +182,6 @@ class Position(Record):
     @property
     def assigned_count(self) -> int:
         return self.assignment.assigned_count
-
-    def simplified(self) -> Formula:
-        """View of the formula under the current assignment."""
-        return simplify(self.formula, self.assignment)
 
 
 def _candidate_vars(p: Position) -> list:
@@ -253,15 +245,8 @@ def is_terminal(p: Position) -> bool:
     return not legal_moves(p)
 
 
-def winner(p: Position) -> Player:
-    """Winner of a finished game; raises NonTerminalPositionError if it is not."""
-    if not is_terminal(p):
-        raise NonTerminalPositionError("position still has legal moves")
-    return final_winner(p)
-
-
 def final_winner(p: Position) -> Player:
-    """Winner of a position the caller has already found finished.
+    """Winner of a position that `is_terminal` has found finished.
 
     Different goal: evaluate under the full assignment, P1 wins iff true.
     Same goal: the stuck mover loses.  Legality is not checked again.
@@ -446,9 +431,3 @@ def format_position(p: Position) -> str:
     lines.append(to_text(p.formula))
     return "\n".join(lines) + "\n"
 
-
-def format_trace(t: GameTrace) -> str:
-    lines = [format_position(t.initial).rstrip("\n")]
-    for m in t.moves:
-        lines.append(f"move x{m.var} {'T' if m.value else 'F'}")
-    return "\n".join(lines) + "\n"

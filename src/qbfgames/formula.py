@@ -162,35 +162,6 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def not_(f: Formula) -> Formula:
-    """Negation builder; folds constants and literal signs, removes double Not."""
-    if isinstance(f, Const):
-        return FALSE if f.value else TRUE
-    if isinstance(f, Literal):
-        return Literal(f.var, not f.negated)
-    if isinstance(f, Not):
-        return f.child
-    return Not(f)
-
-
-def and_(*parts: Formula) -> Formula:
-    """Conjunction builder; empty product is true, single part is unwrapped."""
-    if not parts:
-        return TRUE
-    if len(parts) == 1:
-        return parts[0]
-    return And(tuple(parts))
-
-
-def or_(*parts: Formula) -> Formula:
-    """Disjunction builder; empty sum is false, single part is unwrapped."""
-    if not parts:
-        return FALSE
-    if len(parts) == 1:
-        return parts[0]
-    return Or(tuple(parts))
-
-
 class Assignment(Record):
     """Per-variable ternary state: a tuple holding True, False, or None.
 

@@ -10,9 +10,7 @@ import itertools
 import random
 
 from .cnf import Cnf
-from .engine import Locality, Position, RulesetConfig
-from .formula import Assignment, Formula, Literal, and_, not_, or_, TRUE, FALSE
-from .reductions import Color, Graph, PositiveCnfInstance
+from .reductions import Graph, PositiveCnfInstance
 
 
 def random_cnf(rng: random.Random, n: int, clauses: int, width: int = 3) -> Cnf:
@@ -58,27 +56,6 @@ def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> Graph:
     return Graph.build(n, edges)
 
 
-def random_snort_graph(rng: random.Random, n: int, edge_prob: float = 0.5,
-                       paint_prob: float = 0.3) -> Graph:
-    """Random graph with some vertices pre-painted, kept Snort-valid by
-    never painting opposite colors on the two ends of an edge."""
-    g = random_graph(rng, n, edge_prob)
-    adj = g.neighbors()
-    colors = [Color.UNCOLORED] * n
-    for v in range(n):
-        if rng.random() >= paint_prob:
-            continue
-        options = [Color.BLUE, Color.RED]
-        for u in adj[v]:
-            if colors[u] is Color.BLUE and Color.RED in options:
-                options.remove(Color.RED)
-            elif colors[u] is Color.RED and Color.BLUE in options:
-                options.remove(Color.BLUE)
-        if options:
-            colors[v] = rng.choice(options)
-    return Graph.build(n, g.edges, colors)
-
-
 def enumerate_graphs(n_vertices: int):
     """All uncolored graphs on exactly n_vertices labeled vertices."""
     pairs = list(itertools.combinations(range(n_vertices), 2))
@@ -91,47 +68,3 @@ def enumerate_graphs_up_to(max_vertices: int):
     """All uncolored graphs with 0..max_vertices labeled vertices."""
     for n in range(max_vertices + 1):
         yield from enumerate_graphs(n)
-
-
-def random_formula(rng: random.Random, n: int, budget: int = 8) -> Formula:
-    """Random formula tree over n variables with about `budget` connectives."""
-
-    def build(budget: int) -> Formula:
-        if budget <= 0 or rng.random() < 0.25:
-            r = rng.random()
-            if r < 0.05:
-                return TRUE if rng.random() < 0.5 else FALSE
-            return Literal(rng.randrange(n), rng.random() < 0.5)
-        kind = rng.choice(("not", "and", "or", "and", "or"))
-        if kind == "not":
-            return not_(build(budget - 1))
-        arity = rng.randint(2, 3)
-        parts = [build((budget - 1) // arity) for _ in range(arity)]
-        return and_(*parts) if kind == "and" else or_(*parts)
-
-    if n <= 0:
-        raise ValueError("need at least one variable")
-    return build(budget)
-
-
-def random_position(
-    rng: random.Random,
-    config: RulesetConfig,
-    n: int,
-    clauses: int,
-    width: int = 3,
-    max_open: int | None = None,
-) -> Position:
-    """Random mid-game position: a random CNF formula plus a random partial
-    assignment (a prefix under local play).  `max_open` caps the number of
-    still-unassigned variables."""
-    formula = random_cnf(rng, n, clauses, width).to_formula()
-    low = 0 if max_open is None else max(0, n - max_open)
-    k = rng.randint(low, n)
-    if config.locality is Locality.LOCAL:
-        chosen = range(k)
-    else:
-        chosen = rng.sample(range(n), k)
-    pairs = [(var, rng.random() < 0.5) for var in chosen]
-    assignment = Assignment.from_pairs(n, pairs)
-    return Position.initial(formula, n, config, assignment)

@@ -2,18 +2,18 @@
 
 `solve` runs win/loss backward induction on a compiled `Circuit`.  Its memo
 maps the assignment, as a base-4 integer, to the winner and nothing else
-(the formula, ruleset, variable count and the root mover's side of the
-parity rule are constants within one solve session, so the assignment fixes
-the mover); the principal variation is read back from the winners after the
-search.  Its `nodes` counts visited positions; under the different goal a
-position whose fold is already a constant is a leaf.  On the two
-by-player-local rulesets every position has at most one move, so `solve`
-walks the one forced line in at most n + 1 nodes, however long it is.
-`solve_naive` is the independent oracle: plain recursion straight over the
-engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
-same induction to any finite two-player game that has the six methods it
-calls; it is a separate search on purpose, so that a reduction check's
-source side shares no code with `solve`.
+(the formula, ruleset, variable count and root mover are fixed within one
+solve, so the assignment fixes the mover); the principal variation is read
+back from the winners after the search.  Its `nodes` counts visited
+positions; under the different goal a position whose fold is already a
+constant is a leaf.  On the two by-player-local rulesets every position has
+at most one move, so `solve` walks the one forced line in at most n + 1
+nodes, however long it is.  `solve_naive` is the independent oracle: plain
+recursion straight over the engine rules, no memoization, no shortcuts.
+`solve_abstract` applies the same induction to any finite two-player game
+that has the six methods it calls and reports only the winner; it is a
+separate search on purpose, so that a reduction check's source side shares
+no code with `solve`.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ from .formula import simplify, substitute  # noqa: F401
 # bounds memo memory: 10**7 entries, an int key and a shared `Player` at
 # about 100 B each while n is below about 40 (a key has 2n bits), is 1 GB.
 DEFAULT_NODE_BUDGET = 10**7
-DEFAULT_NAIVE_LIMIT = 12
-
-# The memo key under which `solve` records the session a memo belongs to.
-_SESSION = "session"
+NAIVE_LIMIT = 12
 
 
 class BudgetExceededError(Exception):
@@ -77,7 +74,7 @@ class NaiveLimitError(Exception):
 
 
 class Outcome(Record):
-    """Optimal-play result: winner, one optimal line, and search effort."""
+    """Optimal-play result: winner, `solve`'s optimal line, search effort."""
 
     __slots__ = ("winner", "variation", "nodes")
     __hash__ = None
@@ -107,12 +104,10 @@ def solve(
     still gives them the game.  A position missing from the memo lies below
     a decided different-goal root, where every move keeps the winner.
 
-    A `memo` dict may be passed back in to warm-start further solves in the
-    same session: the same formula, variable count and ruleset, with the
-    root mover on the same side of the parity rule.  The memo keys on the
-    assignment alone, as a base-4 integer with digit 0 (unassigned), 1
-    (false) or 2 (true) for variable i at 4^i, so the first solve binds the
-    memo to its session and any other session raises ValueError.
+    The memo keys on the assignment alone, as a base-4 integer with digit 0
+    (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
+    dict passed in must be empty, or ValueError is raised; `solve` fills it
+    with one entry per counted node, so a caller can size it afterwards.
     """
     config = position.config
     n = position.n
@@ -122,10 +117,8 @@ def solve(
     p1, p2 = Player.P1, Player.P2
     if memo is None:
         memo = {}
-    parity_mover = p1 if position.assignment.assigned_count % 2 == 0 else p2
-    session = (position.formula, n, config, position.mover is parity_mover)
-    if memo.setdefault(_SESSION, session) != session:
-        raise ValueError("memo belongs to another formula, ruleset or root mover")
+    elif memo:
+        raise ValueError("memo must start empty")
     circuit = Circuit(position.formula, n)
     assign, unassign, values = circuit.assign, circuit.unassign, circuit.values
     root_key = 0
@@ -195,14 +188,14 @@ def solve(
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 
-def solve_naive(position: Position, var_limit: int = DEFAULT_NAIVE_LIMIT) -> Outcome:
+def solve_naive(position: Position) -> Outcome:
     """Reference solver: pure recursion over the engine rules, no memo.
 
     Deliberately shares nothing with `solve` beyond the engine itself, so
     the two act as independent routes for cross-checking.
     """
-    if position.n > var_limit:
-        raise NaiveLimitError(position.n, var_limit)
+    if position.n > NAIVE_LIMIT:
+        raise NaiveLimitError(position.n, NAIVE_LIMIT)
     nodes = 0
 
     def search(p):
@@ -216,54 +209,41 @@ def solve_naive(position: Position, var_limit: int = DEFAULT_NAIVE_LIMIT) -> Out
                 return p.mover
         return p.mover.opponent
 
-    return Outcome(winner=search(position), variation=None, nodes=nodes)
+    return Outcome(search(position), nodes=nodes)
 
 
 def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     """Backward induction over a finite two-player game, memoized on state.
 
     `game` provides `initial_state()`, `mover(state) -> Player`,
-    `legal_moves(state) -> list`, `apply(state, move)`,
-    `is_terminal(state) -> bool` and `winner(state) -> Player`; states must
-    be hashable.
+    `legal_moves(state) -> list`, `apply(state, move)`, `is_terminal(state)
+    -> bool` and `winner(state) -> Player`; states must be hashable.  The
+    memo maps each state to its winner, and the outcome has no variation.
     """
     memo = {}
     nodes = 0
 
     def search(state):
         nonlocal nodes
-        hit = memo.get(state)
-        if hit is not None:
-            return hit[0]
+        won = memo.get(state)
+        if won is not None:
+            return won
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
         if game.is_terminal(state):
-            result = (game.winner(state), None)
+            won = game.winner(state)
         else:
             mover = game.mover(state)
-            moves = game.legal_moves(state)
-            winning = None
-            for m in moves:
+            won = mover.opponent
+            for m in game.legal_moves(state):
                 if search(game.apply(state, m)) is mover:
-                    winning = m
+                    won = mover
                     break
-            if winning is not None:
-                result = (mover, winning)
-            else:
-                result = (mover.opponent, moves[0])
-        memo[state] = result
-        return result[0]
+        memo[state] = won
+        return won
 
     # `search` recurses once per move, and a line never holds more
     # positions than the search counts.
-    state = game.initial_state()
-    won = call_deep(node_budget + 1, search, state)
-    variation = []
-    while True:
-        move = memo[state][1]
-        if move is None:
-            break
-        variation.append(move)
-        state = game.apply(state, move)
-    return Outcome(winner=won, variation=variation, nodes=nodes)
+    won = call_deep(node_budget + 1, search, game.initial_state())
+    return Outcome(won, nodes=nodes)

@@ -1,23 +1,28 @@
 """Shared test corpora: the worked-game formula, long forced-line
 positions, exhaustive small-formula enumeration, an independent bit-parallel
 truth-table oracle, a recursive reference evaluator, the paper's recursive
-definition of blatant falsity and truth, and the node count and sign check
-the shape tests read."""
+definition of blatant falsity and truth, the node count and sign check the
+shape tests read, the seeded random formulas, positions and Snort graphs the
+tests draw, and the trace writer the round-trip tests read back."""
 
 import itertools
 import random
 
+from qbfgames.engine import GameTrace, Locality, Position, RulesetConfig, format_position
 from qbfgames.formula import (
     FALSE,
     TRUE,
     And,
     Assignment,
     Const,
+    Formula,
     Literal,
     Not,
     Or,
     UnassignedVariableError,
 )
+from qbfgames.generators import random_cnf, random_graph
+from qbfgames.reductions import Color, Graph
 
 # Four 3-literal clauses over 7 variables; x5 never occurs.  Every bundled
 # sample game plays on this formula.
@@ -212,3 +217,104 @@ def node_count(f) -> int:
 def is_positive(cnf) -> bool:
     """True iff no literal of the CNF is negated."""
     return all(not negated for clause in cnf.clauses for _, negated in clause)
+
+
+def not_(f: Formula) -> Formula:
+    """Negation builder; folds constants and literal signs, removes double Not."""
+    if isinstance(f, Const):
+        return FALSE if f.value else TRUE
+    if isinstance(f, Literal):
+        return Literal(f.var, not f.negated)
+    if isinstance(f, Not):
+        return f.child
+    return Not(f)
+
+
+def and_(*parts: Formula) -> Formula:
+    """Conjunction builder; empty product is true, single part is unwrapped."""
+    if not parts:
+        return TRUE
+    if len(parts) == 1:
+        return parts[0]
+    return And(tuple(parts))
+
+
+def or_(*parts: Formula) -> Formula:
+    """Disjunction builder; empty sum is false, single part is unwrapped."""
+    if not parts:
+        return FALSE
+    if len(parts) == 1:
+        return parts[0]
+    return Or(tuple(parts))
+
+
+def random_snort_graph(rng: random.Random, n: int, edge_prob: float = 0.5,
+                       paint_prob: float = 0.3) -> Graph:
+    """Random graph with some vertices pre-painted, kept Snort-valid by
+    never painting opposite colors on the two ends of an edge."""
+    g = random_graph(rng, n, edge_prob)
+    adj = g.neighbors()
+    colors = [Color.UNCOLORED] * n
+    for v in range(n):
+        if rng.random() >= paint_prob:
+            continue
+        options = [Color.BLUE, Color.RED]
+        for u in adj[v]:
+            if colors[u] is Color.BLUE and Color.RED in options:
+                options.remove(Color.RED)
+            elif colors[u] is Color.RED and Color.BLUE in options:
+                options.remove(Color.BLUE)
+        if options:
+            colors[v] = rng.choice(options)
+    return Graph.build(n, g.edges, colors)
+
+
+def random_formula(rng: random.Random, n: int, budget: int = 8) -> Formula:
+    """Random formula tree over n variables with about `budget` connectives."""
+
+    def build(budget: int) -> Formula:
+        if budget <= 0 or rng.random() < 0.25:
+            r = rng.random()
+            if r < 0.05:
+                return TRUE if rng.random() < 0.5 else FALSE
+            return Literal(rng.randrange(n), rng.random() < 0.5)
+        kind = rng.choice(("not", "and", "or", "and", "or"))
+        if kind == "not":
+            return not_(build(budget - 1))
+        arity = rng.randint(2, 3)
+        parts = [build((budget - 1) // arity) for _ in range(arity)]
+        return and_(*parts) if kind == "and" else or_(*parts)
+
+    if n <= 0:
+        raise ValueError("need at least one variable")
+    return build(budget)
+
+
+def random_position(
+    rng: random.Random,
+    config: RulesetConfig,
+    n: int,
+    clauses: int,
+    width: int = 3,
+    max_open: int | None = None,
+) -> Position:
+    """Random mid-game position: a random CNF formula plus a random partial
+    assignment (a prefix under local play).  `max_open` caps the number of
+    still-unassigned variables."""
+    formula = random_cnf(rng, n, clauses, width).to_formula()
+    low = 0 if max_open is None else max(0, n - max_open)
+    k = rng.randint(low, n)
+    if config.locality is Locality.LOCAL:
+        chosen = range(k)
+    else:
+        chosen = rng.sample(range(n), k)
+    pairs = [(var, rng.random() < 0.5) for var in chosen]
+    assignment = Assignment.from_pairs(n, pairs)
+    return Position.initial(formula, n, config, assignment)
+
+
+def format_trace(t: GameTrace) -> str:
+    lines = [format_position(t.initial).rstrip("\n")]
+    for m in t.moves:
+        lines.append(f"move x{m.var} {'T' if m.value else 'F'}")
+    return "\n".join(lines) + "\n"

@@ -20,14 +20,13 @@ from qbfgames.formula import (
     parse_formula,
     simplify,
 )
-from qbfgames.generators import random_formula
-
 from _corpus import (
     SAMPLE_TEXT,
     SAMPLE_VARS,
     all_partial_assignments,
     completion_mask,
     enumerate_formulas,
+    random_formula,
     spec_blatantly_false,
     spec_blatantly_true,
     truth_table,

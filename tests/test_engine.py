@@ -19,26 +19,23 @@ from qbfgames.engine import (
     IllegalMoveError,
     Locality,
     Move,
-    NonTerminalPositionError,
     Player,
     Position,
     PositionError,
     PositionFormatError,
     RulesetConfig,
     apply_move,
+    final_winner,
     format_position,
-    format_trace,
     is_terminal,
     legal_moves,
     parse_position,
     parse_trace,
     replay,
-    winner,
 )
 from qbfgames.formula import Assignment, parse_formula
-from qbfgames.generators import random_position
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace, random_position
 
 
 def sample_formula():
@@ -187,18 +184,16 @@ class TestTerminalAndWinner:
         for config in (EITHER_LOCAL_SAME, EITHER_ANYWHERE_SAME, BY_PLAYER_LOCAL_SAME):
             p = Position.initial(f, 1, config)
             assert is_terminal(p)
-            assert winner(p) is Player.P2
+            assert final_winner(p) is Player.P2
 
     def test_different_goal_runs_all_variables(self):
         p = played(EITHER_LOCAL_DIFFERENT, (0, True), (1, True))
         assert not is_terminal(p)
-        with pytest.raises(NonTerminalPositionError):
-            winner(p)
 
     def test_blocked_position_is_terminal(self):
         p = played(BY_PLAYER_LOCAL_SAME, (0, True), (1, False), (2, True), (3, False))
         assert is_terminal(p)
-        assert winner(p) is Player.P2
+        assert final_winner(p) is Player.P2
 
     def test_sample_game_winner(self):
         p = played(
@@ -206,7 +201,7 @@ class TestTerminalAndWinner:
             (0, True), (1, True), (2, False), (3, False), (4, True), (5, False), (6, False),
         )
         assert is_terminal(p)
-        assert winner(p) is Player.P2
+        assert final_winner(p) is Player.P2
 
     def test_anywhere_same_full_board_winner_is_last_mover(self):
         p = played(
@@ -214,7 +209,7 @@ class TestTerminalAndWinner:
             (3, True), (1, False), (2, True), (4, False), (0, True), (6, False), (5, True),
         )
         assert is_terminal(p)
-        assert winner(p) is Player.P1
+        assert final_winner(p) is Player.P1
 
 
 class TestRulesetRelations:

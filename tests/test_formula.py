@@ -20,19 +20,24 @@ from qbfgames.formula import (
     Or,
     UnassignedVariableError,
     VariableRangeError,
-    and_,
     evaluate,
     free_variables,
-    not_,
-    or_,
     parse_formula,
     simplify,
     substitute,
     to_text,
 )
-from qbfgames.generators import random_formula
-
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, enumerate_formulas, node_count, spec_evaluate
+from _corpus import (
+    SAMPLE_TEXT,
+    SAMPLE_VARS,
+    and_,
+    enumerate_formulas,
+    node_count,
+    not_,
+    or_,
+    random_formula,
+    spec_evaluate,
+)
 
 
 def sample_formula():

@@ -16,15 +16,12 @@ from qbfgames.generators import (
     enumerate_graphs,
     enumerate_graphs_up_to,
     random_cnf,
-    random_formula,
     random_graph,
-    random_position,
     random_positive_cnf,
-    random_snort_graph,
 )
 from qbfgames.reductions import Color, parse_graph, format_graph
 
-from _corpus import is_positive
+from _corpus import is_positive, random_formula, random_position, random_snort_graph
 
 
 class TestDeterminism:

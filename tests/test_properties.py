@@ -15,7 +15,6 @@ from qbfgames.engine import (
     Player,
     Position,
     format_position,
-    format_trace,
     parse_position,
     parse_trace,
 )
@@ -39,6 +38,8 @@ from qbfgames.formula import (
 )
 from qbfgames.reductions import Color, Graph, format_graph, parse_graph
 from qbfgames.solver import solve, solve_naive
+
+from _corpus import format_trace
 
 MAX_VARS = 6
 

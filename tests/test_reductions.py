@@ -28,7 +28,6 @@ from qbfgames.generators import (
     random_cnf,
     random_graph,
     random_positive_cnf,
-    random_snort_graph,
 )
 from qbfgames import reductions
 from qbfgames.reductions import (
@@ -54,7 +53,7 @@ from qbfgames.reductions import (
 )
 from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_naive
 
-from _corpus import node_count
+from _corpus import node_count, random_snort_graph
 
 
 @pytest.fixture

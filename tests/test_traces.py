@@ -3,11 +3,11 @@ simplified formulas exactly as displayed."""
 
 import pytest
 
-from qbfgames.engine import Player, format_trace, parse_trace, replay
+from qbfgames.engine import Player, parse_trace, replay
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import parse_formula, simplify, to_text
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace
 
 # fixture name -> (expected winner, per-step simplified formula)
 WORKED_GAMES = {
