@@ -152,18 +152,22 @@ def cmd_replay(args) -> int:
     trace = _load_trace(args.trace)
     result = replay(trace)
     config = trace.initial.config
+    # Consecutive snapshots share their unchanged subtrees; one memo renders
+    # each shared subtree once.
+    memo = {}
+    initial = to_text(trace.initial.formula, memo)
     steps = [
         {
             "mover": step.position.mover.opponent.name,
             "move": str(step.move),
-            "formula": to_text(step.simplified),
+            "formula": to_text(step.position.formula, memo),
         }
         for step in result.steps
     ]
     if args.json:
         payload = {
             "ruleset": config.name,
-            "initial": to_text(trace.initial.formula),
+            "initial": initial,
             "steps": steps,
             "illegal": None
             if result.error is None
@@ -174,11 +178,14 @@ def cmd_replay(args) -> int:
             },
             "winner": None if result.winner is None else result.winner.name,
         }
-        print(json.dumps(payload))
+        # streamed: the document holds every step's residual, and json.dumps
+        # plus print would hold two more whole copies of it
+        json.dump(payload, sys.stdout)
+        print()
         return EXIT_ILLEGAL_MOVE if result.error else EXIT_OK
 
     print(f"ruleset: {config.name}")
-    print(f"initial: {to_text(trace.initial.formula)}")
+    print(f"initial: {initial}")
     for i, step in enumerate(steps, start=1):
         label = config.player_label(Player[step["mover"]])
         print(f"{i:3}. {label} {step['move']} -> {step['formula']}")

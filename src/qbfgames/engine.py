@@ -264,38 +264,44 @@ class GameTrace(Record):
 
 
 class ReplayStep(Record):
-    """A move, the position it leads to, and that position's formula folded."""
+    """A move and the position it leads to, whose formula is the snapshot:
+    the trace's initial formula folded under the position's assignment."""
 
-    __slots__ = ("move", "position", "simplified")
+    __slots__ = ("move", "position")
     __hash__ = None
 
 
 class ReplayResult(Record):
-    """Outcome of replaying a trace; illegal moves are reported, not raised."""
+    """Outcome of replaying a trace; illegal moves are reported, not raised.
+
+    `final` is the last position reached, and like every step's position it
+    carries the folded snapshot as its formula.
+    """
 
     __slots__ = ("initial", "steps", "error", "error_index", "final", "winner")
     __hash__ = None
 
 
 def replay(trace: GameTrace) -> ReplayResult:
-    """Apply the trace moves in order, recording a simplified snapshot per step.
+    """Apply the trace moves in order, recording a folded snapshot per step.
 
-    Each snapshot folds the previous one under the extended assignment,
-    which gives the same formula as folding the original (the fold
-    composes) from a smaller tree.  Stops at the first illegal move and
-    embeds the error.  The winner is reported when the last reached
-    position is terminal.
+    Each position reached carries the snapshot as its formula: the previous
+    snapshot folded under the extended assignment, which gives the same
+    formula as folding the original (the fold composes) from a smaller
+    tree.  `apply_move` therefore decides same-goal legality on the
+    previous snapshot as well, not on the original formula.  Stops at the
+    first illegal move and embeds the error.  The winner is reported when
+    the last reached position is terminal.
     """
     p = trace.initial
-    snapshot = p.formula
     steps = []
     for i, m in enumerate(trace.moves):
         try:
             p = apply_move(p, m)
         except IllegalMoveError as e:
             return ReplayResult(trace.initial, steps, e, i, p, None)
-        snapshot = simplify(snapshot, p.assignment)
-        steps.append(ReplayStep(m, p, snapshot))
+        p = Position(simplify(p.formula, p.assignment), p.n, p.assignment, p.config, p.mover)
+        steps.append(ReplayStep(m, p))
     won = final_winner(p) if is_terminal(p) else None
     return ReplayResult(trace.initial, steps, None, None, p, won)
 

@@ -478,18 +478,33 @@ def free_variables(f: Formula) -> set:
     return out
 
 
-def to_text(f: Formula) -> str:
-    """Render f in the text grammar; inverse of `parse_formula`."""
-    if isinstance(f, Const):
-        return "true" if f.value else "false"
-    if isinstance(f, Literal):
+def to_text(f: Formula, memo: dict | None = None) -> str:
+    """Render f in the text grammar; inverse of `parse_formula`.
+
+    `memo`, when given, maps `id(node)` to `(node, text)` for the And and Or
+    nodes already rendered, and may be shared across calls: formulas that
+    `substitute` folds from one another share their unchanged subtrees as
+    the same objects, so each shared subtree is rendered once.  An entry
+    holds its node, so the id cannot be reused by another node while the
+    entry exists.
+    """
+    kind = type(f)
+    if kind is And or kind is Or:
+        if memo is not None:
+            hit = memo.get(id(f))
+            if hit is not None:
+                return hit[1]
+        head = "(and " if kind is And else "(or "
+        text = head + " ".join([to_text(c, memo) for c in f.children]) + ")"
+        if memo is not None:
+            memo[id(f)] = (f, text)
+        return text
+    if kind is Literal:
         return f"(not x{f.var})" if f.negated else f"x{f.var}"
-    if isinstance(f, Not):
-        return f"(not {to_text(f.child)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_text(c) for c in f.children) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_text(c) for c in f.children) + ")"
+    if kind is Not:
+        return f"(not {to_text(f.child, memo)})"
+    if kind is Const:
+        return "true" if f.value else "false"
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -1,9 +1,13 @@
-"""Every top-level function and class of the package is used somewhere.
+"""Every top-level function and class of the package, and every import in
+`src` and `tests`, is used somewhere.
 
 A definition counts as used when its own module names it outside the
 definition, when another file imports it by name or reaches it as an
 attribute of its module (`formula.Record`), or when a string names it as
 `qbfgames.<module>:<name>`, the way perfbench and `[project.scripts]` do.
+An imported name counts as used when its module names it, or when such a
+string names it in that module: perfbench's tracer patches
+`qbfgames.solver:simplify`, which `solver` imports for it alone.
 """
 
 import ast
@@ -35,9 +39,14 @@ def references(nodes):
     return found
 
 
-def test_every_top_level_definition_is_used():
+def parse_sources():
+    """Syntax tree of every Python file in src, tests and perfbench."""
     sources = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
+def test_every_top_level_definition_is_used():
+    trees = parse_sources()
     refs = {path: references([tree]) for path, tree in trees.items()}
     unused = []
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -50,4 +59,32 @@ def test_every_top_level_definition_is_used():
             own = {name for _, name in references(n for n in body if n is not node)}
             if node.name not in own and (module, node.name) not in elsewhere:
                 unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def test_every_import_is_used():
+    trees = parse_sources()
+    named = set().union(*(
+        re.findall(r"qbfgames\.(\w+):(\w+)", node.value)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ))
+    unused = []
+    for path, tree in sorted(trees.items()):
+        if path.parent.name == "perfbench":
+            continue
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = module_name(path)
+        unused += [
+            f"{path.relative_to(ROOT)}: {name}"
+            for name in bound
+            if name not in used and (module, name) not in named
+        ]
     assert unused == []

@@ -33,9 +33,9 @@ from qbfgames.engine import (
     parse_trace,
     replay,
 )
-from qbfgames.formula import Assignment, parse_formula
+from qbfgames.formula import Assignment, parse_formula, simplify
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace, random_position
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace, random_formula, random_position
 
 
 def sample_formula():
@@ -318,6 +318,61 @@ class TestReplay:
         assert result.error.reason == IllegalMoveError.OCCUPIED
         assert len(result.steps) == 1
         assert result.winner is None
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_replay_agrees_with_apply_move_on_the_original(self, config):
+        # replay decides legality on its folded snapshots; stepping apply_move
+        # on the original formula is the reference it must agree with
+        rng = random.Random(f"replay-{config.name}")
+        reasons = set()
+        for _ in range(250):
+            n = rng.randint(1, 6)
+            initial = Position.initial(random_formula(rng, n, rng.randint(1, 10)), n, config)
+            # mostly legal moves, and random ones that break any of the rules
+            moves, p = [], initial
+            while len(moves) <= n:
+                options = legal_moves(p)
+                if options and rng.random() < 0.7:
+                    m = rng.choice(options)
+                else:
+                    m = Move(rng.randrange(n + 1), rng.random() < 0.5)
+                moves.append(m)
+                try:
+                    p = apply_move(p, m)
+                except IllegalMoveError:
+                    break
+            trace = GameTrace(initial, moves)
+
+            result = replay(trace)
+            p, error, winner = trace.initial, None, None
+            for i, m in enumerate(trace.moves):
+                try:
+                    p = apply_move(p, m)
+                except IllegalMoveError as e:
+                    error = (i, e.reason)
+                    break
+                step = result.steps[i]
+                assert step.move == m
+                assert step.position.formula == simplify(trace.initial.formula, p.assignment)
+                assert (step.position.assignment, step.position.mover) == (p.assignment, p.mover)
+            else:
+                winner = final_winner(p) if is_terminal(p) else None
+            if error is None:
+                assert result.error is None and result.error_index is None
+            else:
+                assert (result.error_index, result.error.reason) == error
+                reasons.add(error[1])
+            assert len(result.steps) == (len(moves) if error is None else error[0])
+            assert result.winner is winner
+            assert result.final.assignment == p.assignment
+        expected = {IllegalMoveError.OUT_OF_RANGE, IllegalMoveError.OCCUPIED}
+        if config.locality is Locality.LOCAL:
+            expected.add(IllegalMoveError.WRONG_LOCATION)
+        if config.choice is BooleanChoice.BY_PLAYER:
+            expected.add(IllegalMoveError.WRONG_VALUE)
+        if config.goal is Goal.SAME:
+            expected.add(IllegalMoveError.BLATANTLY_FALSE)
+        assert reasons == expected
 
 
 class TestFileFormats:

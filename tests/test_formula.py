@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qbfgames.engine import GameTrace, Move, parse_position, replay
 from qbfgames.formula import (
     FALSE,
     MAX_DEPTH,
@@ -32,6 +33,7 @@ from _corpus import (
     SAMPLE_VARS,
     and_,
     enumerate_formulas,
+    forced_line_position_text,
     node_count,
     not_,
     or_,
@@ -153,6 +155,24 @@ class TestToText:
         for _ in range(1000):
             f = random_formula(rng, rng.randint(1, 9), budget=rng.randint(0, 12))
             assert parse_formula(to_text(f), 9) == f
+
+    def test_shared_memo_over_replay_snapshots(self):
+        n = 60
+        p = parse_position(forced_line_position_text("by-player-local-same", n))
+        result = replay(GameTrace(p, [Move(v, v % 2 == 0) for v in range(n)]))
+        assert len(result.steps) == n
+        memo = {}
+        for f in [p.formula] + [step.position.formula for step in result.steps]:
+            assert to_text(f, memo) == to_text(f)
+
+    def test_shared_memo_over_dropped_formulas(self):
+        # each formula is dropped before the next but one is built, so new
+        # nodes take the ids of freed ones; a memo entry keeps its node alive
+        rng = random.Random(11)
+        memo = {}
+        for _ in range(2000):
+            f = random_formula(rng, 5, budget=rng.randint(1, 8))
+            assert to_text(f, memo) == to_text(f)
 
 
 class TestEvaluate:

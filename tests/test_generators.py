@@ -9,7 +9,6 @@ from qbfgames.engine import (
     BY_PLAYER_ANYWHERE_SAME,
     EITHER_LOCAL_DIFFERENT,
     EITHER_LOCAL_SAME,
-    Locality,
 )
 from qbfgames.formula import free_variables, parse_formula, to_text
 from qbfgames.generators import (

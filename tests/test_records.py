@@ -70,9 +70,9 @@ FROZEN = {
 UNHASHABLE = {
     GameTrace: (GameTrace(P, [Move(0, True)]), GameTrace(P, [Move(0, True)]), GameTrace(P, [])),
     ReplayStep: (
-        ReplayStep(Move(0, True), P, F),
-        ReplayStep(Move(0, True), P, F),
-        ReplayStep(Move(0, False), P, F),
+        ReplayStep(Move(0, True), P),
+        ReplayStep(Move(0, True), P),
+        ReplayStep(Move(0, False), P),
     ),
     ReplayResult: (
         ReplayResult(P, [], None, None, P, Player.P1),

@@ -8,7 +8,6 @@ from qbfgames.cnf import Cnf
 from qbfgames.engine import (
     BY_PLAYER_ANYWHERE_DIFFERENT,
     BY_PLAYER_ANYWHERE_SAME,
-    EITHER_ANYWHERE_DIFFERENT,
     EITHER_ANYWHERE_SAME,
     EITHER_LOCAL_DIFFERENT,
     EITHER_LOCAL_SAME,

@@ -2,7 +2,6 @@
 and the generic abstract-game search."""
 
 import hashlib
-import itertools
 import random
 import sys
 
