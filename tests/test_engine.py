@@ -324,14 +324,16 @@ class TestReplay:
         # replay decides legality on its folded snapshots; stepping apply_move
         # on the original formula is the reference it must agree with
         rng = random.Random(f"replay-{config.name}")
-        reasons = set()
+        reasons, winners = set(), 0
         for _ in range(250):
             n = rng.randint(1, 6)
             initial = Position.initial(random_formula(rng, n, rng.randint(1, 10)), n, config)
             # mostly legal moves, and random ones that break any of the rules
-            moves, p = [], initial
-            while len(moves) <= n:
+            moves, positions, error, p = [], [], None, initial
+            while error is None and rng.random() < 0.85:
                 options = legal_moves(p)
+                if not options and rng.random() < 0.5:
+                    break
                 if options and rng.random() < 0.7:
                     m = rng.choice(options)
                 else:
@@ -339,32 +341,24 @@ class TestReplay:
                 moves.append(m)
                 try:
                     p = apply_move(p, m)
-                except IllegalMoveError:
-                    break
-            trace = GameTrace(initial, moves)
-
-            result = replay(trace)
-            p, error, winner = trace.initial, None, None
-            for i, m in enumerate(trace.moves):
-                try:
-                    p = apply_move(p, m)
+                    positions.append(p)
                 except IllegalMoveError as e:
-                    error = (i, e.reason)
-                    break
-                step = result.steps[i]
-                assert step.move == m
-                assert step.position.formula == simplify(trace.initial.formula, p.assignment)
-                assert (step.position.assignment, step.position.mover) == (p.assignment, p.mover)
-            else:
-                winner = final_winner(p) if is_terminal(p) else None
+                    error = (len(positions), e.reason)
+            winner = final_winner(p) if error is None and is_terminal(p) else None
+
+            result = replay(GameTrace(initial, moves))
+            assert [step.move for step in result.steps] == moves[: len(positions)]
+            for step, q in zip(result.steps, positions):
+                assert step.position.formula == simplify(initial.formula, q.assignment)
+                assert (step.position.assignment, step.position.mover) == (q.assignment, q.mover)
             if error is None:
                 assert result.error is None and result.error_index is None
             else:
                 assert (result.error_index, result.error.reason) == error
                 reasons.add(error[1])
-            assert len(result.steps) == (len(moves) if error is None else error[0])
             assert result.winner is winner
             assert result.final.assignment == p.assignment
+            winners += winner is not None
         expected = {IllegalMoveError.OUT_OF_RANGE, IllegalMoveError.OCCUPIED}
         if config.locality is Locality.LOCAL:
             expected.add(IllegalMoveError.WRONG_LOCATION)
@@ -373,6 +367,7 @@ class TestReplay:
         if config.goal is Goal.SAME:
             expected.add(IllegalMoveError.BLATANTLY_FALSE)
         assert reasons == expected
+        assert winners >= 10
 
 
 class TestFileFormats:
