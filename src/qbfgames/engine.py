@@ -7,8 +7,9 @@ per player), and what ends the game (different = play out all variables and
 evaluate, same = a move is illegal iff the formula folds to false under the
 extended assignment, see `blatantly_false`, and a stuck player loses).
 
-Positions are immutable; `apply_move` returns a new value.  Player P1 always
-moves first from an empty assignment and is the True/Even side everywhere.
+Positions are immutable; `apply_move` builds each next one, its formula
+folded under the new assignment.  Player P1 always moves first from an empty
+assignment and is the True/Even side everywhere.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .formula import (
+    FALSE,
     Assignment,
     Formula,
     FormulaError,
@@ -137,7 +139,8 @@ class IllegalMoveError(Exception):
 
 
 class Position(Record):
-    """Formula, variable count, assignment, ruleset, and player to move."""
+    """Formula, variable count, assignment, ruleset, and player to move.
+    `initial` keeps the formula as given; `apply_move` keeps it folded."""
 
     __slots__ = ("formula", "n", "assignment", "config", "mover")
 
@@ -164,7 +167,7 @@ class Position(Record):
             raise PositionError(
                 f"assignment covers {len(assignment)} variables, expected {n}"
             )
-        out_of_range = [v for v in free_variables(formula) if v >= n]
+        out_of_range = [v for v in free_variables(formula) if not 0 <= v < n]
         if out_of_range:
             raise PositionError(
                 f"formula mentions x{min(out_of_range)} but only {n} variables declared"
@@ -210,7 +213,11 @@ def legal_moves(p: Position) -> list:
 
 
 def apply_move(p: Position, m: Move) -> Position:
-    """Extended position after m; raises IllegalMoveError naming the violated rule."""
+    """Extended position after m; raises IllegalMoveError naming the violated rule.
+
+    Its formula is p's folded under the extended assignment, which is the
+    original folded under it (the fold composes).  A same-goal move is
+    illegal iff that fold is false: the `blatantly_false` rule."""
     if not 0 <= m.var < p.n:
         raise IllegalMoveError(m, IllegalMoveError.OUT_OF_RANGE, f"n={p.n}")
     if p.assignment[m.var] is not None:
@@ -231,9 +238,10 @@ def apply_move(p: Position, m: Move) -> Position:
                 f"{'T' if required else 'F'}",
             )
     extended = p.assignment.assign(m.var, m.value)
-    if p.config.goal is Goal.SAME and blatantly_false(p.formula, extended):
+    folded = simplify(p.formula, extended)
+    if p.config.goal is Goal.SAME and folded == FALSE:
         raise IllegalMoveError(m, IllegalMoveError.BLATANTLY_FALSE)
-    return Position(p.formula, p.n, extended, p.config, p.mover.opponent)
+    return Position(folded, p.n, extended, p.config, p.mover.opponent)
 
 
 def is_terminal(p: Position) -> bool:
@@ -264,8 +272,7 @@ class GameTrace(Record):
 
 
 class ReplayStep(Record):
-    """A move and the position it leads to, whose formula is the snapshot:
-    the trace's initial formula folded under the position's assignment."""
+    """A move and the position `apply_move` returned for it."""
 
     __slots__ = ("move", "position")
     __hash__ = None
@@ -273,25 +280,17 @@ class ReplayStep(Record):
 
 class ReplayResult(Record):
     """Outcome of replaying a trace; illegal moves are reported, not raised.
-
-    `final` is the last position reached, and like every step's position it
-    carries the folded snapshot as its formula.
-    """
+    `final` is the last position reached."""
 
     __slots__ = ("initial", "steps", "error", "error_index", "final", "winner")
     __hash__ = None
 
 
 def replay(trace: GameTrace) -> ReplayResult:
-    """Apply the trace moves in order, recording a folded snapshot per step.
+    """`apply_move` over the trace moves in order, one step per move.
 
-    Each position reached carries the snapshot as its formula: the previous
-    snapshot folded under the extended assignment, which gives the same
-    formula as folding the original (the fold composes) from a smaller
-    tree.  `apply_move` therefore decides same-goal legality on the
-    previous snapshot as well, not on the original formula.  Stops at the
-    first illegal move and embeds the error.  The winner is reported when
-    the last reached position is terminal.
+    Stops at the first illegal move and embeds the error.  The winner is
+    reported when the last reached position is terminal.
     """
     p = trace.initial
     steps = []
@@ -300,7 +299,6 @@ def replay(trace: GameTrace) -> ReplayResult:
             p = apply_move(p, m)
         except IllegalMoveError as e:
             return ReplayResult(trace.initial, steps, e, i, p, None)
-        p = Position(simplify(p.formula, p.assignment), p.n, p.assignment, p.config, p.mover)
         steps.append(ReplayStep(m, p))
     won = final_winner(p) if is_terminal(p) else None
     return ReplayResult(trace.initial, steps, None, None, p, won)

@@ -257,9 +257,10 @@ def simplify(f: Formula, a: Assignment) -> Formula:
     Substitutes assigned variables by constants, then applies a fixed rule
     set: constant short-circuiting, removal of constant children, flattening
     of nested same-kind connectives, single-child unwrapping, and double
-    negation removal.  No distribution or absorption.  The result mentions
-    only unassigned variables, or is a constant, and agrees with f on every
-    completion of the remaining variables.
+    negation removal; a negated literal is a `Literal`, as the parser builds
+    it.  No distribution or absorption.  The result mentions only unassigned
+    variables, or is a constant, and agrees with f on every completion of
+    the remaining variables.
     """
     return substitute(f, a.values)
 
@@ -321,6 +322,8 @@ def substitute(f: Formula, values) -> Formula:
             return FALSE if s.value else TRUE
         if type(s) is Not:
             return s.child
+        if type(s) is Literal:
+            return Literal(s.var, not s.negated)
         return f if s is f.child else Not(s)
     if kind is Const:
         return f

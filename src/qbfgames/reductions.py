@@ -153,17 +153,16 @@ class SnortGame:
 
 class ProperTwoColoringGame:
     """Either player paints any uncolored vertex either color, never matching
-    a neighbor; the last painter wins (normal play)."""
+    a neighbor; the last painter wins (normal play).  P1 paints first."""
 
-    def __init__(self, graph: Graph, first_player: Player = Player.P1):
+    def __init__(self, graph: Graph):
         if not graph.is_uncolored():
             raise InvalidGraphError("proper 2-coloring starts from an uncolored graph")
         self.graph = graph
-        self.first_player = first_player
         self.adj = graph.neighbors()
 
     def initial_state(self):
-        return (self.graph.colors, self.first_player)
+        return (self.graph.colors, Player.P1)
 
     def mover(self, state) -> Player:
         return state[1]

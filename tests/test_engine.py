@@ -33,9 +33,16 @@ from qbfgames.engine import (
     parse_trace,
     replay,
 )
-from qbfgames.formula import Assignment, parse_formula, simplify
+from qbfgames.formula import Assignment, Literal, parse_formula, simplify
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace, random_formula, random_position
+from _corpus import (
+    SAMPLE_TEXT,
+    SAMPLE_VARS,
+    format_trace,
+    random_formula,
+    random_position,
+    spec_blatantly_false,
+)
 
 
 def sample_formula():
@@ -101,6 +108,11 @@ class TestPositionConstruction:
     def test_formula_variables_must_fit(self):
         with pytest.raises(PositionError):
             Position.initial(parse_formula("x6", 7), 3, EITHER_LOCAL_SAME)
+
+    def test_negative_variable_index_is_rejected(self):
+        # x-1 would read x1 through Python's negative indexing
+        with pytest.raises(PositionError):
+            Position.initial(Literal(-1), 2, EITHER_ANYWHERE_SAME)
 
     def test_assignment_length_must_match(self):
         with pytest.raises(PositionError):
@@ -174,7 +186,7 @@ class TestApplyMove:
         assert q.mover is Player.P2
         assert p.assignment[3] is None
         assert q.assignment[3] is True
-        assert q.formula is p.formula
+        assert q.formula == simplify(p.formula, q.assignment)
         assert q.config is p.config
 
 
@@ -321,10 +333,11 @@ class TestReplay:
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_replay_agrees_with_apply_move_on_the_original(self, config):
-        # replay decides legality on its folded snapshots; stepping apply_move
-        # on the original formula is the reference it must agree with
+        # replay is apply_move in a loop, and apply_move decides legality on
+        # the previous snapshot; the paper's recursion on the original
+        # formula and its fold are the independent references
         rng = random.Random(f"replay-{config.name}")
-        reasons, winners = set(), 0
+        reasons, winners, same_goal_decisions = set(), 0, 0
         for _ in range(250):
             n = rng.randint(1, 6)
             initial = Position.initial(random_formula(rng, n, rng.randint(1, 10)), n, config)
@@ -344,13 +357,22 @@ class TestReplay:
                     positions.append(p)
                 except IllegalMoveError as e:
                     error = (len(positions), e.reason)
+                if config.goal is Goal.SAME and error is None:
+                    assert not spec_blatantly_false(initial.formula, p.assignment)
+                    same_goal_decisions += 1
+                elif error is not None and error[1] == IllegalMoveError.BLATANTLY_FALSE:
+                    extended = p.assignment.assign(m.var, m.value)
+                    assert spec_blatantly_false(initial.formula, extended)
+                    same_goal_decisions += 1
             winner = final_winner(p) if error is None and is_terminal(p) else None
 
             result = replay(GameTrace(initial, moves))
             assert [step.move for step in result.steps] == moves[: len(positions)]
             for step, q in zip(result.steps, positions):
-                assert step.position.formula == simplify(initial.formula, q.assignment)
-                assert (step.position.assignment, step.position.mover) == (q.assignment, q.mover)
+                assert step.position == q
+                assert q.formula == simplify(initial.formula, q.assignment)
+                # a fold reads back from the file format as the same tree
+                assert parse_position(format_position(q)) == q
             if error is None:
                 assert result.error is None and result.error_index is None
             else:
@@ -368,6 +390,8 @@ class TestReplay:
             expected.add(IllegalMoveError.BLATANTLY_FALSE)
         assert reasons == expected
         assert winners >= 10
+        if config.goal is Goal.SAME:
+            assert same_goal_decisions > 100
 
 
 class TestFileFormats:

@@ -14,7 +14,9 @@ from qbfgames.engine import (
     Move,
     Player,
     Position,
+    apply_move,
     format_position,
+    legal_moves,
     parse_position,
     parse_trace,
 )
@@ -85,9 +87,10 @@ def nested_assignments(draw):
 
 def is_normal_form(f):
     """No constant below the root, no single-child or nested same-kind
-    connective, no Not over a constant or a Not: the fold's rule set."""
+    connective, no Not over a constant, a Not or a literal: the fold's rule
+    set."""
     if isinstance(f, Not):
-        return not isinstance(f.child, (Const, Not)) and is_normal_form(f.child)
+        return not isinstance(f.child, (Const, Not, Literal)) and is_normal_form(f.child)
     if isinstance(f, (And, Or)):
         return len(f.children) > 1 and all(
             not isinstance(c, (Const, type(f))) and is_normal_form(c) for c in f.children
@@ -100,6 +103,14 @@ def is_normal_form(f):
 def test_fold_result_is_in_normal_form(case):
     _, f, a, _ = case
     assert is_normal_form(simplify(f, a))
+
+
+@PROPERTY
+@given(nested_assignments())
+def test_fold_reads_back_from_its_text(case):
+    n, f, a, _ = case
+    s = simplify(f, a)
+    assert parse_formula(to_text(s), n) == s
 
 
 @PROPERTY
@@ -178,9 +189,16 @@ def positions(draw):
 
 
 @PROPERTY
-@given(positions())
-def test_position_file_round_trip(p):
-    assert parse_position(format_position(p)) == p
+@given(positions(), st.data())
+def test_position_file_round_trip(p, data):
+    # every position of a game: the initial one, then those apply_move
+    # returns, whose formulas are folds
+    while True:
+        assert parse_position(format_position(p)) == p
+        moves = legal_moves(p)
+        if not moves:
+            break
+        p = apply_move(p, data.draw(st.sampled_from(moves)))
 
 
 @PROPERTY
