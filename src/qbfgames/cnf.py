@@ -73,6 +73,8 @@ def parse_dimacs(text: str) -> Cnf:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise CnfError(f"duplicate problem line (line {lineno})")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"bad problem line {line!r} (line {lineno})")

@@ -11,6 +11,11 @@ winner carries over:
 
 Blue maps to True/P1 in the graph games; elsewhere first mover maps to
 first mover.
+
+Snort, Proper 2-Coloring and the positive CNF game are played by
+`solve_abstract` on one board, `_Board`: a state is `(trues, falses, mover)`,
+two int bitmasks of the cells holding true (blue) and false (red) and the
+Player to move, and a move `(v, value)` writes one cell.
 """
 
 from __future__ import annotations
@@ -90,13 +95,6 @@ class Graph(Record):
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def neighbors(self) -> list:
-        adj = [[] for _ in range(self.n_vertices)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
     def is_uncolored(self) -> bool:
         return all(c is Color.UNCOLORED for c in self.colors)
 
@@ -110,86 +108,91 @@ def _check_snort_paint(graph: Graph):
             )
 
 
-class SnortGame:
-    """Players paint uncolored vertices their own color (Blue = P1), never
-    adjacent to the opposite color; a stuck player loses."""
+class _Board:
+    """The board the three source games share: players take turns writing
+    true or false into empty cells.
 
-    def __init__(self, graph: Graph, first_player: Player = Player.P1):
-        _check_snort_paint(graph)
-        self.graph = graph
-        self.first_player = first_player
-        self.adj = graph.neighbors()
+    A state is `(trues, falses, mover)`: bit v of `trues` (of `falses`) is
+    set when cell v holds true (false), and `mover` is the Player to move.
+    Blue is true and P1 in the graph games.  A move is `(v, value)`.  A
+    game sets `start` and defines `legal_moves`; the stuck mover loses
+    unless the game defines its own `winner`.
+    """
 
     def initial_state(self):
-        return (self.graph.colors, self.first_player)
+        return self.start
 
     def mover(self, state) -> Player:
-        return state[1]
-
-    def legal_moves(self, state) -> list:
-        colors, mover = state
-        forbidden = Color.RED if mover is Player.P1 else Color.BLUE
-        moves = []
-        for v in range(self.graph.n_vertices):
-            if colors[v] is not Color.UNCOLORED:
-                continue
-            if any(colors[u] is forbidden for u in self.adj[v]):
-                continue
-            moves.append(v)
-        return moves
+        return state[2]
 
     def apply(self, state, move):
-        colors, mover = state
-        own = Color.BLUE if mover is Player.P1 else Color.RED
-        painted = colors[:move] + (own,) + colors[move + 1 :]
-        return (painted, mover.opponent)
+        trues, falses, mover = state
+        v, value = move
+        if value:
+            return (trues | 1 << v, falses, mover.opponent)
+        return (trues, falses | 1 << v, mover.opponent)
 
     def is_terminal(self, state) -> bool:
         return not self.legal_moves(state)
 
     def winner(self, state) -> Player:
-        return state[1].opponent
+        return state[2].opponent
 
 
-class ProperTwoColoringGame:
-    """Either player paints any uncolored vertex either color, never matching
+def _neighbour_masks(graph: Graph) -> list:
+    """Bit u of entry v is set when u and v are adjacent."""
+    masks = [0] * graph.n_vertices
+    for i, j in graph.edges:
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
+class SnortGame(_Board):
+    """Players paint unpainted vertices their own color (Blue = P1), never
+    adjacent to the opposite color; a stuck player loses."""
+
+    def __init__(self, graph: Graph, first_player: Player = Player.P1):
+        _check_snort_paint(graph)
+        self.neighbours = _neighbour_masks(graph)
+        blue = sum(1 << v for v, color in enumerate(graph.colors) if color is Color.BLUE)
+        red = sum(1 << v for v, color in enumerate(graph.colors) if color is Color.RED)
+        self.start = (blue, red, first_player)
+
+    def legal_moves(self, state) -> list:
+        trues, falses, mover = state
+        own = mover is Player.P1
+        opposite = falses if own else trues
+        painted = trues | falses
+        return [
+            (v, own)
+            for v, near in enumerate(self.neighbours)
+            if not (painted >> v & 1 or near & opposite)
+        ]
+
+
+class ProperTwoColoringGame(_Board):
+    """Either player paints any unpainted vertex either color, never matching
     a neighbor; the last painter wins (normal play).  P1 paints first."""
 
     def __init__(self, graph: Graph):
         if not graph.is_uncolored():
             raise InvalidGraphError("proper 2-coloring starts from an uncolored graph")
-        self.graph = graph
-        self.adj = graph.neighbors()
-
-    def initial_state(self):
-        return (self.graph.colors, Player.P1)
-
-    def mover(self, state) -> Player:
-        return state[1]
+        self.neighbours = _neighbour_masks(graph)
+        self.start = (0, 0, Player.P1)
 
     def legal_moves(self, state) -> list:
-        colors, _ = state
+        trues, falses, _ = state
+        painted = trues | falses
         moves = []
-        for v in range(self.graph.n_vertices):
-            if colors[v] is not Color.UNCOLORED:
+        for v, near in enumerate(self.neighbours):
+            if painted >> v & 1:
                 continue
-            for paint in (Color.BLUE, Color.RED):
-                if any(colors[u] is paint for u in self.adj[v]):
-                    continue
-                moves.append((v, paint))
+            if not near & trues:
+                moves.append((v, True))
+            if not near & falses:
+                moves.append((v, False))
         return moves
-
-    def apply(self, state, move):
-        colors, mover = state
-        v, paint = move
-        painted = colors[:v] + (paint,) + colors[v + 1 :]
-        return (painted, mover.opponent)
-
-    def is_terminal(self, state) -> bool:
-        return not self.legal_moves(state)
-
-    def winner(self, state) -> Player:
-        return state[1].opponent
 
 
 class PositiveCnfInstance(Record):
@@ -227,39 +230,25 @@ class PositiveCnfInstance(Record):
     def to_formula(self):
         return self.to_cnf().to_formula()
 
-    def satisfied_by(self, true_vars) -> bool:
-        return all(clause & true_vars for clause in self.clauses)
 
+class PositiveCnfGame(_Board):
+    """P1 sets any unassigned variable true, P2 sets one false; the
+    formula's final value decides the winner (true = P1).  P1 moves first."""
 
-class PositiveCnfGame:
-    """True assigns true, False assigns false, any unassigned variable;
-    the formula's final value decides the winner (True = P1)."""
-
-    def __init__(self, instance: PositiveCnfInstance, first_player: Player = Player.P1):
-        self.instance = instance
-        self.first_player = first_player
-
-    def initial_state(self):
-        return ((None,) * self.instance.n, self.first_player)
-
-    def mover(self, state) -> Player:
-        return state[1]
+    def __init__(self, instance: PositiveCnfInstance):
+        self.n = instance.n
+        self.clauses = [sum(1 << v for v in clause) for clause in instance.clauses]
+        self.start = (0, 0, Player.P1)
 
     def legal_moves(self, state) -> list:
-        values, _ = state
-        return [v for v in range(self.instance.n) if values[v] is None]
-
-    def apply(self, state, move):
-        values, mover = state
+        trues, falses, mover = state
+        assigned = trues | falses
         value = mover is Player.P1
-        return (values[:move] + (value,) + values[move + 1 :], mover.opponent)
-
-    def is_terminal(self, state) -> bool:
-        return all(v is not None for v in state[0])
+        return [(v, value) for v in range(self.n) if not assigned >> v & 1]
 
     def winner(self, state) -> Player:
-        true_vars = {i for i, v in enumerate(state[0]) if v}
-        return Player.P1 if self.instance.satisfied_by(true_vars) else Player.P2
+        trues = state[0]
+        return Player.P1 if all(clause & trues for clause in self.clauses) else Player.P2
 
 
 def snort_to_position(graph: Graph, first_player: Player = Player.P1) -> Position:
@@ -343,16 +332,9 @@ def positive_cnf_to_bpad(
     )
 
 
-def toy_positive_to_ead(
-    instance: PositiveCnfInstance, first_player: Player = Player.P1
-) -> Position:
+def toy_positive_to_ead(instance: PositiveCnfInstance) -> Position:
     """Identity embedding of a positive instance into either-anywhere-different."""
-    return Position.initial(
-        instance.to_formula(),
-        instance.n,
-        EITHER_ANYWHERE_DIFFERENT,
-        mover=first_player,
-    )
+    return Position.initial(instance.to_formula(), instance.n, EITHER_ANYWHERE_DIFFERENT)
 
 
 class ReductionCheck(Record):
@@ -429,19 +411,15 @@ def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Reduction
 
 
 def check_positive_cnf(
-    instance: PositiveCnfInstance,
-    first_player: Player = Player.P1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    instance: PositiveCnfInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ReductionCheck:
-    source = solve_abstract(PositiveCnfGame(instance, first_player), node_budget)
-    reduced = solve(positive_cnf_to_bpad(instance, first_player), node_budget)
+    source = solve_abstract(PositiveCnfGame(instance), node_budget)
+    reduced = solve(positive_cnf_to_bpad(instance), node_budget)
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 
 
 def toy_positive_equivalence_check(
-    instance: PositiveCnfInstance,
-    first_player: Player = Player.P1,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    instance: PositiveCnfInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ReductionCheck:
     """Solve the instance with and without the per-player value restriction.
 
@@ -451,8 +429,8 @@ def toy_positive_equivalence_check(
     the formula layer; reduced is the free (either-anywhere-different)
     formula game under `solve`.
     """
-    source = solve_abstract(PositiveCnfGame(instance, first_player), node_budget)
-    reduced = solve(toy_positive_to_ead(instance, first_player), node_budget)
+    source = solve_abstract(PositiveCnfGame(instance), node_budget)
+    reduced = solve(toy_positive_to_ead(instance), node_budget)
     return ReductionCheck(source.winner, reduced.winner, source, reduced)
 
 

@@ -217,8 +217,9 @@ def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
 
     `game` provides `initial_state()`, `mover(state) -> Player`,
     `legal_moves(state) -> list`, `apply(state, move)`, `is_terminal(state)
-    -> bool` and `winner(state) -> Player`; states must be hashable.  The
-    memo maps each state to its winner, and the outcome has no variation.
+    -> bool` and `winner(state) -> Player`; states must be hashable.  A state
+    is terminal iff it has no legal move, and `winner` is asked only there.
+    The memo maps each state to its winner, and the outcome has no variation.
     """
     memo = {}
     nodes = 0

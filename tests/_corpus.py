@@ -253,7 +253,10 @@ def random_snort_graph(rng: random.Random, n: int, edge_prob: float = 0.5,
     """Random graph with some vertices pre-painted, kept Snort-valid by
     never painting opposite colors on the two ends of an edge."""
     g = random_graph(rng, n, edge_prob)
-    adj = g.neighbors()
+    adj = [[] for _ in range(n)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
     colors = [Color.UNCOLORED] * n
     for v in range(n):
         if rng.random() >= paint_prob:

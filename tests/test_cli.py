@@ -247,6 +247,14 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "snort", str(graph))
         assert code == 2
 
+    def test_duplicate_problem_line_exits_2(self, capsys, tmp_path):
+        cnf = tmp_path / "dup.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 0\np cnf 3 1\n")
+        code, out, err = run(capsys, "reduce", "qbf", str(cnf))
+        assert code == 2
+        assert out == ""
+        assert "duplicate problem line (line 3)" in err
+
     def test_negated_poscnf_exits_2(self, capsys, tmp_path):
         cnf = tmp_path / "neg.cnf"
         cnf.write_text("p cnf 2 1\n1 -2 0\n")

@@ -150,6 +150,7 @@ class TestDimacs:
             "p cnf 2 2\n1 0\n",
             "p sat 2 1\n1 0\n",
             "p cnf 2 1\n1 a 0\n",
+            "p cnf 3 2\n1 2 0\np cnf 3 1\n",
         ]
         for text in bad:
             with pytest.raises(CnfError):

@@ -25,12 +25,15 @@ from qbfgames.engine import (
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import TRUE, Assignment, parse_formula
+from qbfgames.generators import enumerate_graphs_up_to, random_positive_cnf
 from qbfgames.reductions import (
+    Color,
     Graph,
     PositiveCnfGame,
     PositiveCnfInstance,
     ProperTwoColoringGame,
     SnortGame,
+    _Board,
 )
 from qbfgames.solver import (
     BudgetExceededError,
@@ -46,6 +49,7 @@ from _corpus import (
     enumerate_formulas,
     forced_line_position_text,
     random_position,
+    random_snort_graph,
 )
 
 
@@ -318,7 +322,7 @@ class _Chain:
         return Player.P1 if state % 2 == 0 else Player.P2
 
     def legal_moves(self, state):
-        return [state]
+        return [state] if state < self.length else []
 
     def apply(self, state, move):
         return state + 1
@@ -375,3 +379,51 @@ class TestAbstractGames:
             solve_abstract(game, node_budget=1100)
         out = solve_abstract(game)
         assert out.winner is Player.P2
+
+    def test_source_games_share_one_board(self):
+        snort = SnortGame(Graph.build(3, [(0, 1)], [Color.UNCOLORED, Color.RED, Color.BLUE]))
+        p2c = ProperTwoColoringGame(Graph.build(2, [(0, 1)]))
+        poscnf = PositiveCnfGame(PositiveCnfInstance(2, (frozenset({0, 1}),)))
+        for game in (snort, p2c, poscnf):
+            for name in ("initial_state", "mover", "apply", "is_terminal"):
+                assert getattr(type(game), name) is getattr(_Board, name)
+        # (trues, falses, mover): blue is true, red is false
+        assert snort.initial_state() == (0b100, 0b010, Player.P1)
+        assert snort.legal_moves(snort.initial_state()) == []
+        assert p2c.legal_moves(p2c.initial_state()) == [(0, True), (0, False), (1, True), (1, False)]
+        assert p2c.apply(p2c.initial_state(), (1, False)) == (0, 0b10, Player.P2)
+        assert poscnf.legal_moves((0b01, 0, Player.P2)) == [(1, False)]
+
+
+def _tally(games):
+    """(first-player wins, total nodes) of `solve_abstract` over the games."""
+    outcomes = [solve_abstract(game) for game in games]
+    return sum(o.winner is Player.P1 for o in outcomes), sum(o.nodes for o in outcomes)
+
+
+def _painted_snort_games():
+    rng = random.Random(5)
+    return (SnortGame(random_snort_graph(rng, rng.randint(1, 7))) for _ in range(200))
+
+
+def _positive_cnf_games():
+    rng = random.Random(3)
+    return (
+        PositiveCnfGame(random_positive_cnf(rng, rng.randint(1, 7), rng.randint(1, 9)))
+        for _ in range(300)
+    )
+
+
+@pytest.mark.parametrize(
+    "games, pinned",
+    [
+        (lambda: map(SnortGame, enumerate_graphs_up_to(5)), (1091, 9291)),
+        (lambda: map(ProperTwoColoringGame, enumerate_graphs_up_to(5)), (515, 46536)),
+        (_painted_snort_games, (137, 623)),
+        (_positive_cnf_games, (300, 7755)),
+    ],
+    ids=["snort", "p2c", "painted-snort", "positive-cnf"],
+)
+def test_source_search_is_pinned(games, pinned):
+    # winners and node totals of the search; a change of state format must keep them
+    assert _tally(games()) == pinned
