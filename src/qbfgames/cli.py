@@ -156,15 +156,15 @@ def cmd_replay(args) -> int:
     # each shared subtree once.
     memo = {}
     initial = to_text(trace.initial.formula, memo)
-    steps = [
-        {
-            "mover": step.position.mover.opponent.name,
-            "move": str(step.move),
-            "formula": to_text(step.position.formula, memo),
-        }
-        for step in result.steps
-    ]
     if args.json:
+        steps = [
+            {
+                "mover": step.position.mover.opponent.name,
+                "move": str(step.move),
+                "formula": to_text(step.position.formula, memo),
+            }
+            for step in result.steps
+        ]
         payload = {
             "ruleset": config.name,
             "initial": initial,
@@ -186,9 +186,13 @@ def cmd_replay(args) -> int:
 
     print(f"ruleset: {config.name}")
     print(f"initial: {initial}")
-    for i, step in enumerate(steps, start=1):
-        label = config.player_label(Player[step["mover"]])
-        print(f"{i:3}. {label} {step['move']} -> {step['formula']}")
+    for i, step in enumerate(result.steps, start=1):
+        formula = step.position.formula
+        label = config.player_label(step.position.mover.opponent)
+        print(f"{i:3}. {label} {step.move} -> {to_text(formula, memo)}")
+        # a step's root text is printed once; the next step reuses only the
+        # texts of the subtrees below it
+        memo.pop(id(formula), None)
     if result.error is not None:
         print(
             f"illegal move at step {result.error_index + 1}: "

@@ -246,10 +246,6 @@ def apply_move(p: Position, m: Move) -> Position:
 
 def is_terminal(p: Position) -> bool:
     """True iff the mover has no legal move."""
-    if p.assignment.is_complete:
-        return True
-    if p.config.goal is Goal.DIFFERENT:
-        return False
     return not legal_moves(p)
 
 

@@ -217,10 +217,6 @@ class Assignment(Record):
                 return i
         return None
 
-    @property
-    def is_complete(self) -> bool:
-        return all(v is not None for v in self.values)
-
     def items(self):
         """Assigned (var, value) pairs in ascending variable order."""
         return [(i, v) for i, v in enumerate(self.values) if v is not None]

@@ -12,10 +12,12 @@ winner carries over:
 Blue maps to True/P1 in the graph games; elsewhere first mover maps to
 first mover.
 
-Snort, Proper 2-Coloring and the positive CNF game are played by
-`solve_abstract` on one board, `_Board`: a state is `(trues, falses, mover)`,
-two int bitmasks of the cells holding true (blue) and false (red) and the
-Player to move, and a move `(v, value)` writes one cell.
+Each check plays the source game with `solve_abstract` and the reduced
+position with `solve`.  Snort, Proper 2-Coloring and the positive CNF game
+share one board, `_Board`: a state is `(trues, falses, mover)`, two int
+bitmasks of the cells holding true (blue) and false (red) and the Player to
+move, and a move `(v, value)` writes one cell.  The CNF quantifier game is
+`QbfGame`, over `(k, open)` states.
 """
 
 from __future__ import annotations
@@ -33,14 +35,7 @@ from .engine import (
     Position,
 )
 from .formula import TRUE, And, Assignment, Literal, Or, Record, is_decimal
-from .solver import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceededError,
-    Outcome,
-    call_deep,
-    solve,
-    solve_abstract,
-)
+from .solver import DEFAULT_NODE_BUDGET, solve, solve_abstract
 
 
 class Color(Enum):
@@ -132,6 +127,7 @@ class _Board:
             return (trues | 1 << v, falses, mover.opponent)
         return (trues, falses | 1 << v, mover.opponent)
 
+    # Uncalled (a game ends on an empty move list); perfbench's tracer still names it.
     def is_terminal(self, state) -> bool:
         return not self.legal_moves(state)
 
@@ -348,74 +344,76 @@ class ReductionCheck(Record):
         return self.source_winner is self.reduced_winner
 
 
+def _check(game, position: Position, node_budget: int) -> ReductionCheck:
+    """The source game under `solve_abstract` against the reduced position
+    under `solve`."""
+    source = solve_abstract(game, node_budget)
+    reduced = solve(position, node_budget)
+    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+
+
 def check_snort(
     graph: Graph,
     first_player: Player = Player.P1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ReductionCheck:
-    source = solve_abstract(SnortGame(graph, first_player), node_budget)
-    reduced = solve(snort_to_position(graph, first_player), node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    game = SnortGame(graph, first_player)
+    return _check(game, snort_to_position(graph, first_player), node_budget)
 
 
 def check_p2c(graph: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
-    source = solve_abstract(ProperTwoColoringGame(graph), node_budget)
-    reduced = solve(p2c_to_position(graph), node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    return _check(ProperTwoColoringGame(graph), p2c_to_position(graph), node_budget)
 
 
-def qbf_truth(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
-    """Truth of Ex0 Ax1 Ex2 ... cnf, read straight off the clauses.
+class QbfGame:
+    """Ex0 Ax1 Ex2 ... cnf as a game, read straight off the clauses.
 
     This is the either-local-different game on the CNF, with P1 as the
-    existential player, decided without the formula layer or `solve`: clause
-    i is bit i of a mask of clauses no assignment so far satisfies, and a
-    clause still in the mask when its highest variable is assigned is false.
-    `nodes` counts the quantifier prefixes visited, against `node_budget`;
-    the outcome carries no variation.
+    existential player, played without the formula layer: a state is
+    `(k, open)`, the next variable and the mask of clauses no assignment
+    so far satisfies (clause i is bit i), and a move is a value for x_k.
+    The game ends when no clause is open, which P1 wins, or when an open
+    clause has had its highest variable assigned, which P2 wins.
     """
-    satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
-    closes = [0] * cnf.n  # var -> clauses whose highest variable it is
-    for bit, clause in enumerate(cnf.clauses):
-        for var, negated in clause:
-            satisfies[var][not negated] |= 1 << bit
-        closes[max(var for var, _ in clause)] |= 1 << bit
-    nodes = 0
 
-    def holds(var, unsatisfied):
-        # every clause closes below cnf.n, so a non-empty mask has var < n
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(node_budget)
-        if not unsatisfied:
-            return True
-        exists = var % 2 == 0
-        for mask in satisfies[var]:
-            rest = unsatisfied & ~mask
-            if (not rest & closes[var] and holds(var + 1, rest)) == exists:
-                return exists
-        return not exists
+    def __init__(self, cnf: Cnf):
+        self.satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
+        self.closes = [0] * (cnf.n + 1)  # k -> clauses whose highest variable is k - 1
+        for bit, clause in enumerate(cnf.clauses):
+            for var, negated in clause:
+                self.satisfies[var][not negated] |= 1 << bit
+            self.closes[max(var for var, _ in clause) + 1] |= 1 << bit
+        self.start = (0, (1 << len(cnf.clauses)) - 1)
 
-    # `holds` recurses once per variable.
-    true = call_deep(cnf.n + 1, holds, 0, (1 << len(cnf.clauses)) - 1)
-    return Outcome(Player.P1 if true else Player.P2, nodes=nodes)
+    def initial_state(self):
+        return self.start
+
+    def mover(self, state) -> Player:
+        return Player.P1 if state[0] % 2 == 0 else Player.P2
+
+    def legal_moves(self, state) -> list:
+        # a clause closes at k = its highest variable + 1 <= n, so moves need k < n
+        k, open_ = state
+        return [] if not open_ or open_ & self.closes[k] else [False, True]
+
+    def apply(self, state, move):
+        k, open_ = state
+        return (k + 1, open_ & ~self.satisfies[k][move])
+
+    def winner(self, state) -> Player:
+        return Player.P2 if state[1] else Player.P1
 
 
 def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
-    """Alternating-quantifier truth of the CNF, by `qbf_truth`, vs
+    """Alternating-quantifier truth of the CNF, by `QbfGame`, vs
     first-player win of the padded either-local-same game."""
-    source = qbf_truth(cnf, node_budget)
-    reduced = solve(qbf_cnf_to_either_local_same(cnf), node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    return _check(QbfGame(cnf), qbf_cnf_to_either_local_same(cnf), node_budget)
 
 
 def check_positive_cnf(
     instance: PositiveCnfInstance, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ReductionCheck:
-    source = solve_abstract(PositiveCnfGame(instance), node_budget)
-    reduced = solve(positive_cnf_to_bpad(instance), node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    return _check(PositiveCnfGame(instance), positive_cnf_to_bpad(instance), node_budget)
 
 
 def toy_positive_equivalence_check(
@@ -429,9 +427,7 @@ def toy_positive_equivalence_check(
     the formula layer; reduced is the free (either-anywhere-different)
     formula game under `solve`.
     """
-    source = solve_abstract(PositiveCnfGame(instance), node_budget)
-    reduced = solve(toy_positive_to_ead(instance), node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    return _check(PositiveCnfGame(instance), toy_positive_to_ead(instance), node_budget)
 
 
 class GraphFormatError(Exception):

@@ -11,7 +11,7 @@ at most one move, so `solve` walks the one forced line in at most n + 1
 nodes, however long it is.  `solve_naive` is the independent oracle: plain
 recursion straight over the engine rules, no memoization, no shortcuts.
 `solve_abstract` applies the same induction to any finite two-player game
-that has the six methods it calls and reports only the winner; it is a
+that has the five methods it calls and reports only the winner; it is a
 separate search on purpose, so that a reduction check's source side shares
 no code with `solve`.
 """
@@ -216,10 +216,11 @@ def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     """Backward induction over a finite two-player game, memoized on state.
 
     `game` provides `initial_state()`, `mover(state) -> Player`,
-    `legal_moves(state) -> list`, `apply(state, move)`, `is_terminal(state)
-    -> bool` and `winner(state) -> Player`; states must be hashable.  A state
-    is terminal iff it has no legal move, and `winner` is asked only there.
-    The memo maps each state to its winner, and the outcome has no variation.
+    `legal_moves(state) -> list`, `apply(state, move)` and
+    `winner(state) -> Player`; states must be hashable.  A state is finished
+    iff it has no legal move, and `winner` is asked only there, so each node
+    builds one move list.  The memo maps each state to its winner, and the
+    outcome has no variation.
     """
     memo = {}
     nodes = 0
@@ -232,12 +233,13 @@ def solve_abstract(game, node_budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
-        if game.is_terminal(state):
+        moves = game.legal_moves(state)
+        if not moves:
             won = game.winner(state)
         else:
             mover = game.mover(state)
             won = mover.opponent
-            for m in game.legal_moves(state):
+            for m in moves:
                 if search(game.apply(state, m)) is mover:
                     won = mover
                     break

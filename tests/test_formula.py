@@ -397,5 +397,4 @@ class TestBuildersAndNodes:
         assert a.assigned_count == 2
         assert a.unassigned() == [1, 3]
         assert a.lowest_unassigned() == 1
-        assert not a.is_complete
         assert a.items() == [(0, True), (2, False)]

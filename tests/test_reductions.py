@@ -37,6 +37,7 @@ from qbfgames.reductions import (
     InvalidSnortGraphError,
     NegationError,
     PositiveCnfInstance,
+    QbfGame,
     check_p2c,
     check_positive_cnf,
     check_qbf_cnf,
@@ -46,11 +47,10 @@ from qbfgames.reductions import (
     parse_graph,
     positive_cnf_to_bpad,
     qbf_cnf_to_either_local_same,
-    qbf_truth,
     snort_to_position,
     toy_positive_equivalence_check,
 )
-from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_naive
+from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_abstract, solve_naive
 
 from _corpus import node_count, random_snort_graph
 
@@ -264,21 +264,22 @@ class TestQbfCnfReduction:
             cnf = random_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
             assert check_qbf_cnf(cnf).agree
 
-    def test_qbf_truth_keeps_the_node_budget(self):
-        # both clauses close at x21, so no prefix fails early and the
-        # search doubles every two variables (6,141 nodes unbudgeted)
-        cnf = Cnf(22, (((0, False), (21, False)), ((0, True), (21, False))))
+    def test_qbf_game_keeps_the_node_budget(self):
+        # every clause closes at x21 and P2 wins, so the search tries both
+        # values of each of P1's eleven variables: 8,189 distinct prefixes
+        cnf = Cnf(22, tuple(((i, False), (21, False)) for i in range(21)))
+        assert solve_abstract(QbfGame(cnf)) == Outcome(Player.P2, nodes=8189)
         with pytest.raises(BudgetExceededError):
-            qbf_truth(cnf, node_budget=1000)
+            solve_abstract(QbfGame(cnf), node_budget=1000)
 
-    def test_qbf_truth_matches_naive_game_solve(self):
+    def test_qbf_game_matches_naive_game_solve(self):
         rng = random.Random(12)
         for _ in range(150):
             n = rng.randint(1, 7)
             cnf = random_cnf(rng, n, rng.randint(1, 10), rng.randint(1, 3))
             game = Position.initial(cnf.to_formula(), n, EITHER_LOCAL_DIFFERENT)
-            assert qbf_truth(cnf).winner is solve_naive(game).winner, cnf
-        assert qbf_truth(Cnf(0, ())).winner is Player.P1
+            assert solve_abstract(QbfGame(cnf)).winner is solve_naive(game).winner, cnf
+        assert solve_abstract(QbfGame(Cnf(0, ()))).winner is Player.P1
 
     def test_source_side_does_not_use_solve(self, flipped_solve):
         rng = random.Random(11)

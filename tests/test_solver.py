@@ -25,13 +25,14 @@ from qbfgames.engine import (
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import TRUE, Assignment, parse_formula
-from qbfgames.generators import enumerate_graphs_up_to, random_positive_cnf
+from qbfgames.generators import enumerate_graphs_up_to, random_cnf, random_positive_cnf
 from qbfgames.reductions import (
     Color,
     Graph,
     PositiveCnfGame,
     PositiveCnfInstance,
     ProperTwoColoringGame,
+    QbfGame,
     SnortGame,
     _Board,
 )
@@ -327,9 +328,6 @@ class _Chain:
     def apply(self, state, move):
         return state + 1
 
-    def is_terminal(self, state):
-        return state == self.length
-
     def winner(self, state):
         return self.mover(state).opponent
 
@@ -394,6 +392,19 @@ class TestAbstractGames:
         assert p2c.apply(p2c.initial_state(), (1, False)) == (0, 0b10, Player.P2)
         assert poscnf.legal_moves((0b01, 0, Player.P2)) == [(1, False)]
 
+    def test_search_builds_one_move_list_per_node(self):
+        # a game ends where its move list is empty, so no node asks twice
+        class CountingSnort(SnortGame):
+            calls = 0
+
+            def legal_moves(self, state):
+                self.calls += 1
+                return super().legal_moves(state)
+
+        for graph in enumerate_graphs_up_to(4):
+            game = CountingSnort(graph)
+            assert solve_abstract(game).nodes == game.calls, graph
+
 
 def _tally(games):
     """(first-player wins, total nodes) of `solve_abstract` over the games."""
@@ -414,6 +425,14 @@ def _positive_cnf_games():
     )
 
 
+def _qbf_games():
+    rng = random.Random(7)
+    return (
+        QbfGame(random_cnf(rng, rng.randint(1, 8), rng.randint(1, 10), rng.randint(1, 3)))
+        for _ in range(300)
+    )
+
+
 @pytest.mark.parametrize(
     "games, pinned",
     [
@@ -421,8 +440,9 @@ def _positive_cnf_games():
         (lambda: map(ProperTwoColoringGame, enumerate_graphs_up_to(5)), (515, 46536)),
         (_painted_snort_games, (137, 623)),
         (_positive_cnf_games, (300, 7755)),
+        (_qbf_games, (80, 2480)),
     ],
-    ids=["snort", "p2c", "painted-snort", "positive-cnf"],
+    ids=["snort", "p2c", "painted-snort", "positive-cnf", "qbf"],
 )
 def test_source_search_is_pinned(games, pinned):
     # winners and node totals of the search; a change of state format must keep them
