@@ -43,7 +43,6 @@ from .generators import (
 )
 from .reductions import (
     GraphFormatError,
-    PositiveCnfInstance,
     check_p2c,
     check_positive_cnf,
     check_qbf_cnf,
@@ -217,8 +216,7 @@ def cmd_reduce(args) -> int:
     elif args.kind == "qbf":
         position = qbf_cnf_to_either_local_same(parse_dimacs(text))
     else:  # poscnf
-        instance = PositiveCnfInstance.from_cnf(parse_dimacs(text))
-        position = positive_cnf_to_bpad(instance, mover)
+        position = positive_cnf_to_bpad(parse_dimacs(text), mover)
     _write_output(format_position(position), args.output)
     return EXIT_OK
 
@@ -237,7 +235,7 @@ def _check_verify_bounds(args):
 
 
 def _verify_instances(args, rng):
-    """Yield (label, instance-text, check-result) triples for the chosen kind."""
+    """Yield (label, instance, check-result) triples for the chosen kind."""
     if args.kind in ("snort", "p2c"):
         check = check_snort if args.kind == "snort" else check_p2c
         if args.exhaustive:
@@ -248,24 +246,17 @@ def _verify_instances(args, rng):
                 for _ in range(args.count)
             )
         for i, graph in enumerate(graphs):
-            yield f"graph #{i}", format_graph(graph), check(graph, node_budget=args.budget)
-    elif args.kind == "qbf":
-        for i in range(args.count):
-            cnf = random_cnf(
-                rng, rng.randint(1, args.vars), rng.randint(1, args.clauses), args.width
-            )
-            yield f"cnf #{i}", cnf.to_dimacs(), check_qbf_cnf(cnf, node_budget=args.budget)
-    else:  # poscnf, toy-poscnf
-        check = check_positive_cnf if args.kind == "poscnf" else toy_positive_equivalence_check
-        for i in range(args.count):
-            instance = random_positive_cnf(
-                rng, rng.randint(1, args.vars), rng.randint(1, args.clauses), args.width
-            )
-            yield (
-                f"instance #{i}",
-                instance.to_cnf().to_dimacs(),
-                check(instance, node_budget=args.budget),
-            )
+            yield f"graph #{i}", graph, check(graph, node_budget=args.budget)
+        return
+    # built per call, so a generator or check patched after import is the one used
+    draw, check, label = {
+        "qbf": (random_cnf, check_qbf_cnf, "cnf"),
+        "poscnf": (random_positive_cnf, check_positive_cnf, "instance"),
+        "toy-poscnf": (random_positive_cnf, toy_positive_equivalence_check, "instance"),
+    }[args.kind]
+    for i in range(args.count):
+        cnf = draw(rng, rng.randint(1, args.vars), rng.randint(1, args.clauses), args.width)
+        yield f"{label} #{i}", cnf, check(cnf, node_budget=args.budget)
 
 
 def cmd_verify(args) -> int:
@@ -273,9 +264,11 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     checked = 0
     counterexample = None
-    for label, text, result in _verify_instances(args, rng):
+    for label, instance, result in _verify_instances(args, rng):
         checked += 1
         if not result.agree:
+            graph_kind = args.kind in ("snort", "p2c")
+            text = format_graph(instance) if graph_kind else instance.to_dimacs()
             counterexample = (label, text, result)
             break
     agreements = checked if counterexample is None else checked - 1
@@ -289,8 +282,8 @@ def cmd_verify(args) -> int:
             else {
                 "label": counterexample[0],
                 "instance": counterexample[1],
-                "source_winner": counterexample[2].source_winner.name,
-                "reduced_winner": counterexample[2].reduced_winner.name,
+                "source_winner": counterexample[2].source.winner.name,
+                "reduced_winner": counterexample[2].reduced.winner.name,
             },
         }
         print(json.dumps(payload))
@@ -301,8 +294,8 @@ def cmd_verify(args) -> int:
             print(f"DISAGREEMENT on {label}:", file=sys.stderr)
             print(text.rstrip("\n"), file=sys.stderr)
             print(
-                f"source winner {result.source_winner.name}, "
-                f"reduced winner {result.reduced_winner.name}",
+                f"source winner {result.source.winner.name}, "
+                f"reduced winner {result.reduced.winner.name}",
                 file=sys.stderr,
             )
     return EXIT_OK if counterexample is None else EXIT_DISAGREEMENT
@@ -310,15 +303,12 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
-    stamp = f"seed {args.seed}"
-    if args.kind == "formula":
-        cnf = random_cnf(rng, args.vars, args.clauses, args.width)
-        text = cnf.to_dimacs(comment=stamp)
-    elif args.kind == "poscnf":
-        instance = random_positive_cnf(rng, args.vars, args.clauses, args.width)
-        text = instance.to_cnf().to_dimacs(comment=stamp)
-    else:  # graph
+    if args.kind == "graph":
         text = format_graph(random_graph(rng, args.vertices, args.edge_prob))
+    else:
+        draw = random_cnf if args.kind == "formula" else random_positive_cnf
+        cnf = draw(rng, args.vars, args.clauses, args.width)
+        text = cnf.to_dimacs(comment=f"seed {args.seed}")
     _write_output(text, args.output)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ import itertools
 import random
 
 from .cnf import Cnf
-from .reductions import Graph, PositiveCnfInstance
+from .reductions import Graph
 
 
 def random_cnf(rng: random.Random, n: int, clauses: int, width: int = 3) -> Cnf:
@@ -28,17 +28,19 @@ def random_cnf(rng: random.Random, n: int, clauses: int, width: int = 3) -> Cnf:
     return Cnf(n, tuple(out))
 
 
-def random_positive_cnf(
-    rng: random.Random, n: int, clauses: int, width: int = 3
-) -> PositiveCnfInstance:
-    """Random negation-free instance with clause width min(width, n, 3)."""
+def random_positive_cnf(rng: random.Random, n: int, clauses: int, width: int = 3) -> Cnf:
+    """Random negation-free CNF: `clauses` clauses of min(width, n, 3)
+    distinct variables, sorted."""
     if n <= 0:
         raise ValueError("need at least one variable")
     if clauses < 0 or width < 1:
         raise ValueError("clause count must be >= 0 and width >= 1")
     k = min(width, n, 3)
-    out = [frozenset(rng.sample(range(n), k)) for _ in range(clauses)]
-    return PositiveCnfInstance(n, tuple(out))
+    out = [
+        tuple((var, False) for var in sorted(rng.sample(range(n), k)))
+        for _ in range(clauses)
+    ]
+    return Cnf(n, out)
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> Graph:

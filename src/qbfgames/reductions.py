@@ -18,6 +18,11 @@ share one board, `_Board`: a state is `(trues, falses, mover)`, two int
 bitmasks of the cells holding true (blue) and false (red) and the Player to
 move, and a move `(v, value)` writes one cell.  The CNF quantifier game is
 `QbfGame`, over `(k, open)` states.
+
+Every CNF instance is a `cnf.Cnf`.  A positive one is a `Cnf` that
+`positive_cnf` accepts: no negated literal and at most 3 distinct variables
+per clause.  The positive CNF game and both of its encoders read their
+instance through `positive_cnf`.
 """
 
 from __future__ import annotations
@@ -191,49 +196,32 @@ class ProperTwoColoringGame(_Board):
         return moves
 
 
-class PositiveCnfInstance(Record):
-    """Negation-free CNF with clause width at most 3."""
+def positive_cnf(cnf: Cnf) -> Cnf:
+    """The CNF as an instance of the positive CNF game: each clause's
+    variables sorted, with repeats dropped.
 
-    __slots__ = ("n", "clauses")  # clauses: frozensets of variables
-
-    def __init__(self, n: int, clauses):
-        super().__init__(n, tuple(frozenset(clause) for clause in clauses))
-        if self.n < 0:
-            raise PositiveCnfError("variable count must be non-negative")
-        for clause in self.clauses:
-            if not 1 <= len(clause) <= 3:
-                raise PositiveCnfError(
-                    f"clause width must be 1..3, got {len(clause)}"
-                )
-            for var in clause:
-                if not 0 <= var < self.n:
-                    raise PositiveCnfError(f"variable x{var} out of range")
-
-    @classmethod
-    def from_cnf(cls, cnf: Cnf) -> "PositiveCnfInstance":
-        for clause in cnf.clauses:
-            for var, negated in clause:
-                if negated:
-                    raise NegationError(f"negated literal on x{var}")
-        return cls(cnf.n, tuple(frozenset(var for var, _ in clause) for clause in cnf.clauses))
-
-    def to_cnf(self) -> Cnf:
-        return Cnf(
-            self.n,
-            tuple(tuple((var, False) for var in sorted(clause)) for clause in self.clauses),
-        )
-
-    def to_formula(self):
-        return self.to_cnf().to_formula()
+    A negated literal raises `NegationError`, and a clause of more than 3
+    distinct variables raises `PositiveCnfError`.
+    """
+    for clause in cnf.clauses:
+        for var, negated in clause:
+            if negated:
+                raise NegationError(f"negated literal on x{var}")
+    clauses = [sorted({var for var, _ in clause}) for clause in cnf.clauses]
+    for clause in clauses:
+        if len(clause) > 3:
+            raise PositiveCnfError(f"clause width must be 1..3, got {len(clause)}")
+    return Cnf(cnf.n, (tuple((var, False) for var in clause) for clause in clauses))
 
 
 class PositiveCnfGame(_Board):
     """P1 sets any unassigned variable true, P2 sets one false; the
     formula's final value decides the winner (true = P1).  P1 moves first."""
 
-    def __init__(self, instance: PositiveCnfInstance):
-        self.n = instance.n
-        self.clauses = [sum(1 << v for v in clause) for clause in instance.clauses]
+    def __init__(self, cnf: Cnf):
+        cnf = positive_cnf(cnf)
+        self.n = cnf.n
+        self.clauses = [sum(1 << v for v, _ in clause) for clause in cnf.clauses]
         self.start = (0, 0, Player.P1)
 
     def legal_moves(self, state) -> list:
@@ -316,40 +304,34 @@ def qbf_cnf_to_either_local_same(cnf: Cnf) -> Position:
     return Position.initial(formula, m, EITHER_LOCAL_SAME)
 
 
-def positive_cnf_to_bpad(
-    instance: PositiveCnfInstance, first_player: Player = Player.P1
-) -> Position:
+def positive_cnf_to_bpad(cnf: Cnf, first_player: Player = Player.P1) -> Position:
     """Identity embedding of a positive instance into by-player-anywhere-different."""
     return Position.initial(
-        instance.to_formula(),
-        instance.n,
-        BY_PLAYER_ANYWHERE_DIFFERENT,
-        mover=first_player,
+        positive_cnf(cnf).to_formula(), cnf.n, BY_PLAYER_ANYWHERE_DIFFERENT, mover=first_player
     )
 
 
-def toy_positive_to_ead(instance: PositiveCnfInstance) -> Position:
+def toy_positive_to_ead(cnf: Cnf) -> Position:
     """Identity embedding of a positive instance into either-anywhere-different."""
-    return Position.initial(instance.to_formula(), instance.n, EITHER_ANYWHERE_DIFFERENT)
+    return Position.initial(positive_cnf(cnf).to_formula(), cnf.n, EITHER_ANYWHERE_DIFFERENT)
 
 
 class ReductionCheck(Record):
-    """Dual-solve result for one instance: each side's winner and Outcome."""
+    """Dual-solve result for one instance: the source side's Outcome and the
+    reduced side's."""
 
-    __slots__ = ("source_winner", "reduced_winner", "source_outcome", "reduced_outcome")
+    __slots__ = ("source", "reduced")
     __hash__ = None
 
     @property
     def agree(self) -> bool:
-        return self.source_winner is self.reduced_winner
+        return self.source.winner is self.reduced.winner
 
 
 def _check(game, position: Position, node_budget: int) -> ReductionCheck:
     """The source game under `solve_abstract` against the reduced position
     under `solve`."""
-    source = solve_abstract(game, node_budget)
-    reduced = solve(position, node_budget)
-    return ReductionCheck(source.winner, reduced.winner, source, reduced)
+    return ReductionCheck(solve_abstract(game, node_budget), solve(position, node_budget))
 
 
 def check_snort(
@@ -410,14 +392,12 @@ def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Reduction
     return _check(QbfGame(cnf), qbf_cnf_to_either_local_same(cnf), node_budget)
 
 
-def check_positive_cnf(
-    instance: PositiveCnfInstance, node_budget: int = DEFAULT_NODE_BUDGET
-) -> ReductionCheck:
-    return _check(PositiveCnfGame(instance), positive_cnf_to_bpad(instance), node_budget)
+def check_positive_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
+    return _check(PositiveCnfGame(cnf), positive_cnf_to_bpad(cnf), node_budget)
 
 
 def toy_positive_equivalence_check(
-    instance: PositiveCnfInstance, node_budget: int = DEFAULT_NODE_BUDGET
+    cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ReductionCheck:
     """Solve the instance with and without the per-player value restriction.
 
@@ -427,7 +407,7 @@ def toy_positive_equivalence_check(
     the formula layer; reduced is the free (either-anywhere-different)
     formula game under `solve`.
     """
-    return _check(PositiveCnfGame(instance), toy_positive_to_ead(instance), node_budget)
+    return _check(PositiveCnfGame(cnf), toy_positive_to_ead(cnf), node_budget)
 
 
 class GraphFormatError(Exception):

@@ -7,6 +7,7 @@ import pytest
 
 import qbfgames.cli as cli
 from qbfgames.cli import main
+from qbfgames.cnf import Cnf
 from qbfgames.engine import Move, Player, apply_move, parse_position
 from qbfgames.reductions import ReductionCheck
 from qbfgames.solver import Outcome, solve
@@ -255,6 +256,17 @@ class TestReduce:
         assert out == ""
         assert "duplicate problem line (line 3)" in err
 
+    def test_poscnf_clauses_are_sorted_sets(self, capsys, tmp_path):
+        cnf = tmp_path / "p.cnf"
+        cnf.write_text("p cnf 4 3\n2 1 0\n3 3 1 0\n4 0\n")
+        code, out, _ = run(capsys, "reduce", "poscnf", str(cnf))
+        assert code == 0
+        assert "(and (or x0 x1) (or x0 x2) (or x3))" in out
+        cnf.write_text("p cnf 4 1\n1 2 3 4 0\n")
+        code, out, err = run(capsys, "reduce", "poscnf", str(cnf))
+        assert (code, out) == (2, "")
+        assert err == "error: clause width must be 1..3, got 4\n"
+
     def test_negated_poscnf_exits_2(self, capsys, tmp_path):
         cnf = tmp_path / "neg.cnf"
         cnf.write_text("p cnf 2 1\n1 -2 0\n")
@@ -345,7 +357,7 @@ class TestVerify:
         truthful = Outcome(winner=Player.P2)
 
         def fake_check(graph, first_player=Player.P1, node_budget=0):
-            return ReductionCheck(Player.P1, Player.P2, lying, truthful)
+            return ReductionCheck(lying, truthful)
 
         monkeypatch.setattr(cli, "check_snort", fake_check)
         code, out, err = run(capsys, "verify", "snort", "--count", "3", "--seed", "0",
@@ -353,6 +365,50 @@ class TestVerify:
         assert code == 5
         assert "DISAGREEMENT" in err
         assert "source winner P1" in err
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """Every instance `verify` renders as DIMACS or graph text."""
+        seen = []
+        to_dimacs, format_graph = Cnf.to_dimacs, cli.format_graph
+
+        def counting_to_dimacs(cnf, comment=""):
+            seen.append(cnf)
+            return to_dimacs(cnf, comment)
+
+        def counting_format_graph(graph):
+            seen.append(graph)
+            return format_graph(graph)
+
+        monkeypatch.setattr(Cnf, "to_dimacs", counting_to_dimacs)
+        monkeypatch.setattr(cli, "format_graph", counting_format_graph)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["snort", "p2c", "qbf", "poscnf", "toy-poscnf"])
+    def test_agreeing_instances_are_not_formatted(self, capsys, formatted, kind):
+        code, out, _ = run(capsys, "verify", kind, "--count", "50", "--seed", "4")
+        assert code == 0
+        assert "checked 50 instance(s): 50 agree" in out
+        assert formatted == []
+
+    def test_only_the_counterexample_is_formatted(self, capsys, monkeypatch, formatted):
+        checked = []
+
+        def lying_on_the_third(cnf, node_budget=0):
+            checked.append(cnf)
+            reduced = Outcome(Player.P2 if len(checked) == 3 else Player.P1)
+            return ReductionCheck(Outcome(Player.P1), reduced)
+
+        monkeypatch.setattr(cli, "check_positive_cnf", lying_on_the_third)
+        code, out, err = run(capsys, "verify", "poscnf", "--count", "50", "--seed", "4")
+        assert code == 5
+        assert out == "checked 3 instance(s): 2 agree\n"
+        assert formatted == [checked[2]]
+        assert err == (
+            "DISAGREEMENT on instance #2:\n"
+            + checked[2].to_dimacs()
+            + "source winner P1, reduced winner P2\n"
+        )
 
 
 class TestGen:

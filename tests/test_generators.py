@@ -55,10 +55,12 @@ class TestShapes:
             assert len(clause) == 2
 
     def test_positive_instances_have_no_negations(self):
-        inst = random_positive_cnf(random.Random(3), 6, 10)
-        assert is_positive(inst.to_cnf())
-        for clause in inst.clauses:
-            assert 1 <= len(clause) <= 3
+        cnf = random_positive_cnf(random.Random(3), 6, 10)
+        assert is_positive(cnf)
+        for clause in cnf.clauses:
+            variables = [var for var, _ in clause]
+            assert 1 <= len(variables) <= 3
+            assert variables == sorted(set(variables))
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from qbfgames.engine import (
     legal_moves,
 )
 from qbfgames.formula import And, Assignment, Const, Formula, Literal, Not, Or, to_text
-from qbfgames.reductions import Graph, PositiveCnfInstance, ReductionCheck
+from qbfgames.reductions import Graph, ReductionCheck
 from qbfgames.solver import Outcome
 
 X0, X1 = Literal(0), Literal(1)
@@ -60,11 +60,6 @@ FROZEN = {
     Position: (P, Position.initial(F, 2, EITHER_LOCAL_SAME), Q),
     Move: (Move(0, True), legal_moves(P)[0], Move(0, False)),
     Graph: (Graph.build(2, [(0, 1)]), Graph.build(2, [(1, 0)]), Graph.build(2, [])),
-    PositiveCnfInstance: (
-        PositiveCnfInstance(2, ({0, 1},)),
-        PositiveCnfInstance(2, [frozenset({1, 0})]),
-        PositiveCnfInstance(2, ({0},)),
-    ),
 }
 # the five that are records but were never hashable
 UNHASHABLE = {
@@ -81,9 +76,9 @@ UNHASHABLE = {
     ),
     Outcome: (WON, Outcome(winner=Player.P1, variation=[Move(0, True)], nodes=3), LOST),
     ReductionCheck: (
-        ReductionCheck(Player.P1, Player.P1, WON, WON),
-        ReductionCheck(Player.P1, Player.P1, WON, WON),
-        ReductionCheck(Player.P1, Player.P2, WON, LOST),
+        ReductionCheck(WON, WON),
+        ReductionCheck(WON, WON),
+        ReductionCheck(WON, LOST),
     ),
 }
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qbfgames.cnf import Cnf
+from qbfgames.cnf import Cnf, CnfError
 from qbfgames.engine import (
     BY_PLAYER_ANYWHERE_DIFFERENT,
     BY_PLAYER_ANYWHERE_SAME,
@@ -36,7 +36,8 @@ from qbfgames.reductions import (
     InvalidGraphError,
     InvalidSnortGraphError,
     NegationError,
-    PositiveCnfInstance,
+    PositiveCnfError,
+    PositiveCnfGame,
     QbfGame,
     check_p2c,
     check_positive_cnf,
@@ -45,10 +46,12 @@ from qbfgames.reductions import (
     format_graph,
     p2c_to_position,
     parse_graph,
+    positive_cnf,
     positive_cnf_to_bpad,
     qbf_cnf_to_either_local_same,
     snort_to_position,
     toy_positive_equivalence_check,
+    toy_positive_to_ead,
 )
 from qbfgames.solver import BudgetExceededError, Outcome, solve, solve_abstract, solve_naive
 
@@ -207,7 +210,7 @@ class TestProperTwoColoringReduction:
         check = check_p2c(g)
         assert check.agree
         # a triangle blocks after two proper moves, so the second player wins
-        assert check.source_winner is Player.P2
+        assert check.source.winner is Player.P2
 
 
 class TestQbfCnfReduction:
@@ -290,61 +293,71 @@ class TestQbfCnfReduction:
 
 class TestPositiveCnf:
     def test_instance_validation(self):
-        with pytest.raises(Exception):
-            PositiveCnfInstance(4, (frozenset({0, 1, 2, 3}),))  # too wide
-        with pytest.raises(Exception):
-            PositiveCnfInstance(2, (frozenset(),))  # empty clause
-        with pytest.raises(Exception):
-            PositiveCnfInstance(2, (frozenset({5}),))  # out of range
+        wide = Cnf(4, (((0, False), (1, False), (2, False), (3, False)),))
+        with pytest.raises(PositiveCnfError, match="clause width must be 1..3, got 4"):
+            positive_cnf(wide)
+        with pytest.raises(CnfError):
+            Cnf(2, ((),))  # empty clause
+        with pytest.raises(CnfError):
+            Cnf(2, (((5, False),),))  # out of range
+        # variables sorted, repeats dropped: four literals on three variables pass
+        repeated = Cnf(4, (((3, False), (0, False), (3, False), (1, False)),))
+        assert positive_cnf(repeated) == Cnf(4, (((0, False), (1, False), (3, False)),))
 
-    def test_from_cnf_rejects_negations(self):
-        with pytest.raises(NegationError):
-            PositiveCnfInstance.from_cnf(Cnf(2, (((0, True),),)))
+    def test_positive_cnf_rejects_negations(self):
+        negated = Cnf(2, (((0, True),),))
+        rejecting = (
+            positive_cnf, PositiveCnfGame, positive_cnf_to_bpad, toy_positive_to_ead,
+            check_positive_cnf, toy_positive_equivalence_check,
+        )
+        for reject in rejecting:
+            with pytest.raises(NegationError, match="negated literal on x0"):
+                reject(negated)
 
     def test_identity_embedding(self):
-        inst = PositiveCnfInstance(2, (frozenset({0, 1}),))
-        p = positive_cnf_to_bpad(inst)
+        cnf = Cnf(2, (((0, False), (1, False)),))
+        p = positive_cnf_to_bpad(cnf)
         assert p.config == BY_PLAYER_ANYWHERE_DIFFERENT
         assert p.mover is Player.P1
-        assert p.formula == inst.to_formula()
+        assert p.formula == cnf.to_formula()
         assert to_text(p.formula) == "(and (or x0 x1))"
 
     def test_single_variable_true_wins(self):
-        inst = PositiveCnfInstance(1, (frozenset({0}),))
-        assert solve(positive_cnf_to_bpad(inst)).winner is Player.P1
+        cnf = Cnf(1, (((0, False),),))
+        assert solve(positive_cnf_to_bpad(cnf)).winner is Player.P1
 
     def test_two_conjuncts_false_wins(self):
-        inst = PositiveCnfInstance(2, (frozenset({0}), frozenset({1})))
-        assert solve(positive_cnf_to_bpad(inst)).winner is Player.P2
+        cnf = Cnf(2, (((0, False),), ((1, False),)))
+        assert solve(positive_cnf_to_bpad(cnf)).winner is Player.P2
 
     def test_embedding_matches_direct_game(self):
         rng = random.Random(11)
         for _ in range(60):
-            inst = random_positive_cnf(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert check_positive_cnf(inst).agree
+            cnf = random_positive_cnf(rng, rng.randint(1, 6), rng.randint(1, 6))
+            assert check_positive_cnf(cnf).agree
 
     @pytest.mark.parametrize("check", [check_positive_cnf, toy_positive_equivalence_check])
     def test_source_side_does_not_use_solve(self, flipped_solve, check):
         rng = random.Random(13)
         for _ in range(20):
-            inst = random_positive_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
-            assert not check(inst).agree
+            cnf = random_positive_cnf(rng, rng.randint(1, 5), rng.randint(1, 6))
+            assert not check(cnf).agree
 
     def test_toy_equivalence_examples(self):
-        single = PositiveCnfInstance(1, (frozenset({0}),))
+        single = Cnf(1, (((0, False),),))
         report = toy_positive_equivalence_check(single)
-        assert report.agree and report.source_winner is Player.P1
+        assert report.agree and report.source.winner is Player.P1
 
-        triangle = PositiveCnfInstance(
-            3, (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+        triangle = Cnf(
+            3, (((0, False), (1, False)), ((0, False), (2, False)), ((1, False), (2, False)))
         )
         assert toy_positive_equivalence_check(triangle).agree
 
     def test_toy_equivalence_random(self):
         rng = random.Random(12)
         for _ in range(120):
-            inst = random_positive_cnf(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert toy_positive_equivalence_check(inst).agree
+            cnf = random_positive_cnf(rng, rng.randint(1, 6), rng.randint(1, 6))
+            assert toy_positive_equivalence_check(cnf).agree
 
 
 class TestPlayerCorrespondence:
@@ -352,9 +365,9 @@ class TestPlayerCorrespondence:
         # single vertex: whoever moves first paints it and wins
         g = Graph.build(1, [])
         blue_first = check_snort(g, Player.P1)
-        assert blue_first.agree and blue_first.source_winner is Player.P1
+        assert blue_first.agree and blue_first.source.winner is Player.P1
         red_first = check_snort(g, Player.P2)
-        assert red_first.agree and red_first.source_winner is Player.P2
+        assert red_first.agree and red_first.source.winner is Player.P2
 
     def test_middle_of_a_path_dominates(self):
         # painting the middle vertex of a 3-path blocks the opponent from
@@ -362,4 +375,4 @@ class TestPlayerCorrespondence:
         g = Graph.build(3, [(0, 1), (1, 2)])
         check = check_snort(g)
         assert check.agree
-        assert check.source_winner is Player.P1
+        assert check.source.winner is Player.P1

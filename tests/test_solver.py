@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from qbfgames import engine
+from qbfgames.cnf import Cnf
 from qbfgames.engine import (
     ALL_CONFIGS,
     BY_PLAYER_LOCAL_DIFFERENT,
@@ -30,7 +31,6 @@ from qbfgames.reductions import (
     Color,
     Graph,
     PositiveCnfGame,
-    PositiveCnfInstance,
     ProperTwoColoringGame,
     QbfGame,
     SnortGame,
@@ -358,12 +358,12 @@ class TestAbstractGames:
         assert value(game.initial_state()) is solve_abstract(game).winner
 
     def test_positive_cnf_conjunction_false_wins(self):
-        inst = PositiveCnfInstance(2, (frozenset({0}), frozenset({1})))
-        assert solve_abstract(PositiveCnfGame(inst)).winner is Player.P2
+        cnf = Cnf(2, (((0, False),), ((1, False),)))
+        assert solve_abstract(PositiveCnfGame(cnf)).winner is Player.P2
 
     def test_positive_cnf_single_clause_true_wins(self):
-        inst = PositiveCnfInstance(2, (frozenset({0, 1}),))
-        assert solve_abstract(PositiveCnfGame(inst)).winner is Player.P1
+        cnf = Cnf(2, (((0, False), (1, False)),))
+        assert solve_abstract(PositiveCnfGame(cnf)).winner is Player.P1
 
     def test_budget_applies(self):
         game = SnortGame(Graph.build(4, [(0, 1), (2, 3)]))
@@ -381,7 +381,7 @@ class TestAbstractGames:
     def test_source_games_share_one_board(self):
         snort = SnortGame(Graph.build(3, [(0, 1)], [Color.UNCOLORED, Color.RED, Color.BLUE]))
         p2c = ProperTwoColoringGame(Graph.build(2, [(0, 1)]))
-        poscnf = PositiveCnfGame(PositiveCnfInstance(2, (frozenset({0, 1}),)))
+        poscnf = PositiveCnfGame(Cnf(2, (((0, False), (1, False)),)))
         for game in (snort, p2c, poscnf):
             for name in ("initial_state", "mover", "apply", "is_terminal"):
                 assert getattr(type(game), name) is getattr(_Board, name)
