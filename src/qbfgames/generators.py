@@ -55,7 +55,7 @@ def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> Graph:
         for j in range(i + 1, n)
         if rng.random() < edge_prob
     ]
-    return Graph.build(n, edges)
+    return Graph(n, edges)
 
 
 def enumerate_graphs(n_vertices: int):
@@ -63,7 +63,7 @@ def enumerate_graphs(n_vertices: int):
     pairs = list(itertools.combinations(range(n_vertices), 2))
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        yield Graph.build(n_vertices, edges)
+        yield Graph(n_vertices, edges)
 
 
 def enumerate_graphs_up_to(max_vertices: int):

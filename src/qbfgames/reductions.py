@@ -9,7 +9,8 @@ winner carries over:
   * Positive CNF (Schaefer's game)        -> by-player-anywhere-different
   * Positive CNF with free value choice   -> either-anywhere-different
 
-Blue maps to True/P1 in the graph games; elsewhere first mover maps to
+A graph's paint is an `Assignment` in waiting: blue is True/P1, red is
+False/P2 and an unpainted vertex is None.  Elsewhere first mover maps to
 first mover.
 
 Each check plays the source game with `solve_abstract` and the reduced
@@ -27,8 +28,6 @@ instance through `positive_cnf`.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .cnf import Cnf
 from .engine import (
     BY_PLAYER_ANYWHERE_DIFFERENT,
@@ -41,12 +40,6 @@ from .engine import (
 )
 from .formula import TRUE, And, Assignment, Literal, Or, Record, is_decimal
 from .solver import DEFAULT_NODE_BUDGET, solve, solve_abstract
-
-
-class Color(Enum):
-    UNCOLORED = "uncolored"
-    BLUE = "blue"
-    RED = "red"
 
 
 class InvalidGraphError(ValueError):
@@ -68,14 +61,14 @@ class NegationError(PositiveCnfError):
 class Graph(Record):
     """Undirected graph with optional per-vertex paint.
 
-    `edges` is a frozenset of (i, j) pairs with i < j, and `colors` a tuple
-    of one Color per vertex.
+    `edges` is a sorted tuple of distinct (i, j) pairs with i < j, and
+    `paint` a tuple of one value per vertex, as in an `Assignment`: True
+    (blue), False (red) or None (unpainted).  `paint` defaults to all None.
     """
 
-    __slots__ = ("n_vertices", "edges", "colors")
+    __slots__ = ("n_vertices", "edges", "paint")
 
-    @classmethod
-    def build(cls, n_vertices: int, edges, colors=None) -> "Graph":
+    def __init__(self, n_vertices: int, edges, paint=None):
         if n_vertices < 0:
             raise InvalidGraphError("vertex count must be non-negative")
         normalized = set()
@@ -85,24 +78,18 @@ class Graph(Record):
             if not (0 <= i < n_vertices and 0 <= j < n_vertices):
                 raise InvalidGraphError(f"edge ({i}, {j}) out of range")
             normalized.add((min(i, j), max(i, j)))
-        if colors is None:
-            colors = (Color.UNCOLORED,) * n_vertices
-        colors = tuple(colors)
-        if len(colors) != n_vertices:
-            raise InvalidGraphError("color list length must match vertex count")
-        return cls(n_vertices, frozenset(normalized), colors)
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
-    def is_uncolored(self) -> bool:
-        return all(c is Color.UNCOLORED for c in self.colors)
+        paint = (None,) * n_vertices if paint is None else tuple(paint)
+        if len(paint) != n_vertices:
+            raise InvalidGraphError("paint list length must match vertex count")
+        for value in paint:
+            if value is not None and type(value) is not bool:  # 1 == True
+                raise InvalidGraphError(f"paint must be True, False or None, got {value!r}")
+        super().__init__(n_vertices, tuple(sorted(normalized)), paint)
 
 
 def _check_snort_paint(graph: Graph):
     for i, j in graph.edges:
-        pair = {graph.colors[i], graph.colors[j]}
-        if pair == {Color.BLUE, Color.RED}:
+        if {graph.paint[i], graph.paint[j]} == {True, False}:
             raise InvalidSnortGraphError(
                 f"vertices {i} and {j} are adjacent with opposite colors"
             )
@@ -156,8 +143,8 @@ class SnortGame(_Board):
     def __init__(self, graph: Graph, first_player: Player = Player.P1):
         _check_snort_paint(graph)
         self.neighbours = _neighbour_masks(graph)
-        blue = sum(1 << v for v, color in enumerate(graph.colors) if color is Color.BLUE)
-        red = sum(1 << v for v, color in enumerate(graph.colors) if color is Color.RED)
+        blue = sum(1 << v for v, value in enumerate(graph.paint) if value)
+        red = sum(1 << v for v, value in enumerate(graph.paint) if value is False)
         self.start = (blue, red, first_player)
 
     def legal_moves(self, state) -> list:
@@ -177,7 +164,7 @@ class ProperTwoColoringGame(_Board):
     a neighbor; the last painter wins (normal play).  P1 paints first."""
 
     def __init__(self, graph: Graph):
-        if not graph.is_uncolored():
+        if any(value is not None for value in graph.paint):
             raise InvalidGraphError("proper 2-coloring starts from an uncolored graph")
         self.neighbours = _neighbour_masks(graph)
         self.start = (0, 0, Player.P1)
@@ -239,23 +226,16 @@ def snort_to_position(graph: Graph, first_player: Player = Player.P1) -> Positio
     """Encode a Snort position as by-player-anywhere-same.
 
     Each edge (i, j) contributes the clause pair (xi or not xj) and
-    (not xi or xj); painted vertices become pre-assigned variables
-    (Blue -> true, Red -> false) and Blue moves as P1/True.
+    (not xi or xj); the paint is the starting assignment (blue -> true,
+    red -> false) and Blue moves as P1/True.
     """
     _check_snort_paint(graph)
     clauses = []
-    for i, j in graph.sorted_edges():
-        clauses.append(Or((Literal(i), Literal(j, True))))
-        clauses.append(Or((Literal(i, True), Literal(j))))
-    formula = And(tuple(clauses)) if clauses else TRUE
-    pairs = [
-        (v, color is Color.BLUE)
-        for v, color in enumerate(graph.colors)
-        if color is not Color.UNCOLORED
-    ]
-    assignment = Assignment.from_pairs(graph.n_vertices, pairs)
+    for i, j in graph.edges:
+        clauses += [((i, False), (j, True)), ((i, True), (j, False))]
+    formula = Cnf(graph.n_vertices, clauses).to_formula()
     return Position.initial(
-        formula, graph.n_vertices, BY_PLAYER_ANYWHERE_SAME, assignment, first_player
+        formula, graph.n_vertices, BY_PLAYER_ANYWHERE_SAME, Assignment(graph.paint), first_player
     )
 
 
@@ -265,10 +245,10 @@ def p2c_to_position(graph: Graph) -> Position:
     Each edge (i, j) contributes (xi and not xj) or (not xi and xj), which
     turns blatantly false exactly when both endpoints get the same value.
     """
-    if not graph.is_uncolored():
+    if any(value is not None for value in graph.paint):
         raise InvalidGraphError("proper 2-coloring reduction takes an uncolored graph")
     gadgets = []
-    for i, j in graph.sorted_edges():
+    for i, j in graph.edges:
         gadgets.append(
             Or(
                 (
@@ -416,7 +396,7 @@ class GraphFormatError(Exception):
 
 def parse_graph(text: str) -> Graph:
     """Read the graph file format: "graph <n>", then "e <i> <j>" per edge
-    and optional "paint <i> <blue|red>" lines."""
+    and optional "paint <i> <blue|red>" lines, blue read as True."""
     n = None
     edges = []
     paint = {}
@@ -441,28 +421,28 @@ def parse_graph(text: str) -> Graph:
             v = int(parts[1])
             if v in paint:
                 raise GraphFormatError(f"vertex {v} painted twice (line {lineno})")
-            paint[v] = Color.BLUE if parts[2] == "blue" else Color.RED
+            paint[v] = parts[2] == "blue"
         else:
             raise GraphFormatError(f"unrecognized line {line!r} (line {lineno})")
     if n is None:
         raise GraphFormatError("missing graph line")
-    colors = [Color.UNCOLORED] * n
-    for v, color in paint.items():
+    values = [None] * n
+    for v, value in paint.items():
         if not 0 <= v < n:
             raise GraphFormatError(f"painted vertex {v} out of range")
-        colors[v] = color
+        values[v] = value
     try:
-        return Graph.build(n, edges, colors)
+        return Graph(n, edges, values)
     except InvalidGraphError as e:
         raise GraphFormatError(str(e)) from None
 
 
 def format_graph(g: Graph) -> str:
     lines = [f"graph {g.n_vertices}"]
-    lines.extend(f"e {i} {j}" for i, j in g.sorted_edges())
+    lines.extend(f"e {i} {j}" for i, j in g.edges)
     lines.extend(
-        f"paint {v} {color.value}"
-        for v, color in enumerate(g.colors)
-        if color is not Color.UNCOLORED
+        f"paint {v} {'blue' if value else 'red'}"
+        for v, value in enumerate(g.paint)
+        if value is not None
     )
     return "\n".join(lines) + "\n"

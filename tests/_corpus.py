@@ -22,7 +22,7 @@ from qbfgames.formula import (
     UnassignedVariableError,
 )
 from qbfgames.generators import random_cnf, random_graph
-from qbfgames.reductions import Color, Graph
+from qbfgames.reductions import Graph
 
 # Four 3-literal clauses over 7 variables; x5 never occurs.  Every bundled
 # sample game plays on this formula.
@@ -257,19 +257,15 @@ def random_snort_graph(rng: random.Random, n: int, edge_prob: float = 0.5,
     for i, j in g.edges:
         adj[i].append(j)
         adj[j].append(i)
-    colors = [Color.UNCOLORED] * n
+    paint = [None] * n
     for v in range(n):
         if rng.random() >= paint_prob:
             continue
-        options = [Color.BLUE, Color.RED]
-        for u in adj[v]:
-            if colors[u] is Color.BLUE and Color.RED in options:
-                options.remove(Color.RED)
-            elif colors[u] is Color.RED and Color.BLUE in options:
-                options.remove(Color.BLUE)
+        barred = {not paint[u] for u in adj[v] if paint[u] is not None}
+        options = [value for value in (True, False) if value not in barred]  # blue, red
         if options:
-            colors[v] = rng.choice(options)
-    return Graph.build(n, g.edges, colors)
+            paint[v] = rng.choice(options)
+    return Graph(n, g.edges, paint)
 
 
 def random_formula(rng: random.Random, n: int, budget: int = 8) -> Formula:

@@ -9,7 +9,7 @@ import qbfgames.cli as cli
 from qbfgames.cli import main
 from qbfgames.cnf import Cnf
 from qbfgames.engine import Move, Player, apply_move, parse_position
-from qbfgames.reductions import ReductionCheck
+from qbfgames.reductions import ReductionCheck, format_graph, parse_graph
 from qbfgames.solver import Outcome, solve
 
 from _corpus import SAMPLE_TEXT, SAMPLE_VARS, forced_line_position_text
@@ -208,6 +208,31 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", "snort", str(graph))
         assert code == 0
         assert "(and (or x0 (not x1)) (or (not x0) x1))" in out
+
+    def test_graph_outputs_are_pinned(self, capsys, tmp_path):
+        painted = tmp_path / "painted.graph"
+        painted.write_text("graph 4\ne 3 1\ne 0 2\ne 2 1\npaint 3 red\npaint 0 blue\n")
+        clauses = (
+            "(and (or x0 (not x2)) (or (not x0) x2) (or x1 (not x2)) (or (not x1) x2)"
+            " (or x1 (not x3)) (or (not x1) x3))\n"
+        )
+        head = "ruleset by-player anywhere same\nvars 4\nassigned 0=T 3=F\n"
+        for mover, line in (("1", ""), ("2", "mover 2\n")):
+            code, out, err = run(capsys, "reduce", "snort", str(painted), "--mover", mover)
+            assert (code, out, err) == (0, head + line + clauses, "")
+        assert format_graph(parse_graph(painted.read_text())) == (
+            "graph 4\ne 0 2\ne 1 2\ne 1 3\npaint 0 blue\npaint 3 red\n"
+        )
+        unpainted = tmp_path / "unpainted.graph"
+        unpainted.write_text("graph 4\ne 3 1\ne 0 3\ne 2 1\ne 1 3\n")
+        assert run(capsys, "reduce", "p2c", str(unpainted)) == (
+            0,
+            "ruleset either anywhere same\nvars 4\nassigned\n"
+            "(and (or (and x0 (not x3)) (and (not x0) x3))"
+            " (or (and x1 (not x2)) (and (not x1) x2))"
+            " (or (and x1 (not x3)) (and (not x1) x3)))\n",
+            "",
+        )
 
     def test_output_file_round_trips(self, capsys, tmp_path):
         graph = tmp_path / "g.graph"

@@ -18,7 +18,7 @@ from qbfgames.generators import (
     random_graph,
     random_positive_cnf,
 )
-from qbfgames.reductions import Color, parse_graph, format_graph
+from qbfgames.reductions import parse_graph, format_graph
 
 from _corpus import is_positive, random_formula, random_position, random_snort_graph
 
@@ -73,7 +73,7 @@ class TestShapes:
             random_graph(random.Random(0), 3, 1.5)
 
     def test_graph_edge_probability_extremes(self):
-        assert random_graph(random.Random(0), 5, 0.0).edges == frozenset()
+        assert random_graph(random.Random(0), 5, 0.0).edges == ()
         assert len(random_graph(random.Random(0), 5, 1.0).edges) == 10
 
     def test_snort_graph_is_valid(self):
@@ -81,7 +81,7 @@ class TestShapes:
         for _ in range(50):
             g = random_snort_graph(rng, rng.randint(1, 8), 0.5, 0.6)
             for i, j in g.edges:
-                assert {g.colors[i], g.colors[j]} != {Color.BLUE, Color.RED}
+                assert {g.paint[i], g.paint[j]} != {True, False}
 
     def test_random_formula_stays_in_range(self):
         rng = random.Random(14)

@@ -38,7 +38,7 @@ from qbfgames.formula import (
     substitute,
     to_text,
 )
-from qbfgames.reductions import Color, Graph, format_graph, parse_graph
+from qbfgames.reductions import Graph, format_graph, parse_graph
 from qbfgames.solver import solve, solve_naive
 
 from _corpus import format_trace
@@ -216,8 +216,8 @@ def graphs(draw):
     n = draw(st.integers(0, MAX_VARS))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(pairs, max_size=10)) if n > 1 else []
-    colors = draw(st.lists(st.sampled_from(tuple(Color)), min_size=n, max_size=n))
-    return Graph.build(n, edges, colors)
+    paint = draw(st.lists(st.sampled_from((True, False, None)), min_size=n, max_size=n))
+    return Graph(n, edges, paint)
 
 
 @PROPERTY

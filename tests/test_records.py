@@ -59,7 +59,7 @@ FROZEN = {
     ),
     Position: (P, Position.initial(F, 2, EITHER_LOCAL_SAME), Q),
     Move: (Move(0, True), legal_moves(P)[0], Move(0, False)),
-    Graph: (Graph.build(2, [(0, 1)]), Graph.build(2, [(1, 0)]), Graph.build(2, [])),
+    Graph: (Graph(2, [(0, 1)]), Graph(2, [(1, 0)]), Graph(2, [])),
 }
 # the five that are records but were never hashable
 UNHASHABLE = {

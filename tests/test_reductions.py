@@ -30,7 +30,6 @@ from qbfgames.generators import (
 )
 from qbfgames import reductions
 from qbfgames.reductions import (
-    Color,
     Graph,
     GraphFormatError,
     InvalidGraphError,
@@ -72,25 +71,32 @@ def flipped_solve(monkeypatch):
 
 
 class TestGraphType:
-    def test_build_normalizes_edges(self):
-        g = Graph.build(3, [(2, 0), (0, 2), (1, 2)])
-        assert g.edges == frozenset({(0, 2), (1, 2)})
+    def test_normalizes_edges(self):
+        g = Graph(3, [(1, 2), (2, 0), (0, 2)])
+        assert g.edges == ((0, 2), (1, 2))
+        assert g.paint == (None, None, None)
 
     def test_rejects_self_loops_and_range(self):
         with pytest.raises(InvalidGraphError):
-            Graph.build(3, [(1, 1)])
+            Graph(3, [(1, 1)])
         with pytest.raises(InvalidGraphError):
-            Graph.build(3, [(0, 3)])
+            Graph(3, [(0, 3)])
+
+    def test_rejects_bad_paint(self):
+        with pytest.raises(InvalidGraphError, match="paint must be True, False or None, got 1"):
+            Graph(2, [], [None, 1])
+        with pytest.raises(InvalidGraphError, match="paint list length"):
+            Graph(3, [], [True, None])
 
     def test_file_round_trip(self):
-        g = Graph.build(4, [(0, 1), (1, 3)], [Color.BLUE, Color.UNCOLORED, Color.RED, Color.UNCOLORED])
+        g = Graph(4, [(0, 1), (1, 3)], [True, None, False, None])
         assert parse_graph(format_graph(g)) == g
 
     def test_parse_example(self):
         g = parse_graph("graph 3\ne 0 1\ne 1 2\npaint 2 red\n# comment\n")
         assert g.n_vertices == 3
-        assert g.edges == frozenset({(0, 1), (1, 2)})
-        assert g.colors[2] is Color.RED
+        assert g.edges == ((0, 1), (1, 2))
+        assert g.paint == (None, None, False)
 
     def test_parse_errors(self):
         bad = [
@@ -117,28 +123,28 @@ class TestGraphType:
 
 class TestSnortReduction:
     def test_single_edge_formula(self):
-        p = snort_to_position(Graph.build(2, [(0, 1)]))
+        p = snort_to_position(Graph(2, [(0, 1)]))
         assert to_text(p.formula) == "(and (or x0 (not x1)) (or (not x0) x1))"
         assert p.config == BY_PLAYER_ANYWHERE_SAME
         assert p.mover is Player.P1
 
     def test_edgeless_graph(self):
-        p = snort_to_position(Graph.build(3, []))
+        p = snort_to_position(Graph(3, []))
         assert p.formula == TRUE
         assert solve(p).winner is Player.P1  # three free moves, odd length
 
     def test_painted_vertices_become_assignments(self):
-        g = Graph.build(3, [(0, 1)], [Color.BLUE, Color.UNCOLORED, Color.RED])
+        g = Graph(3, [(0, 1)], [True, None, False])
         p = snort_to_position(g)
         assert p.assignment.values == (True, None, False)
         assert p.mover is Player.P1  # caller's choice, default Blue/True
 
     def test_first_player_parameter(self):
-        p = snort_to_position(Graph.build(2, []), first_player=Player.P2)
+        p = snort_to_position(Graph(2, []), first_player=Player.P2)
         assert p.mover is Player.P2
 
     def test_adjacent_opposite_paint_rejected(self):
-        g = Graph.build(2, [(0, 1)], [Color.BLUE, Color.RED])
+        g = Graph(2, [(0, 1)], [True, False])
         with pytest.raises(InvalidSnortGraphError):
             snort_to_position(g)
 
@@ -171,17 +177,17 @@ class TestSnortReduction:
 
 class TestProperTwoColoringReduction:
     def test_single_edge_gadget(self):
-        p = p2c_to_position(Graph.build(2, [(0, 1)]))
+        p = p2c_to_position(Graph(2, [(0, 1)]))
         assert to_text(p.formula) == "(and (or (and x0 (not x1)) (and (not x0) x1)))"
         assert p.config == EITHER_ANYWHERE_SAME
 
     def test_edgeless_two_vertices_second_player_wins(self):
-        p = p2c_to_position(Graph.build(2, []))
+        p = p2c_to_position(Graph(2, []))
         assert p.formula == TRUE
         assert solve(p).winner is Player.P2  # two free moves, even length
 
     def test_colored_input_rejected(self):
-        g = Graph.build(2, [], [Color.BLUE, Color.UNCOLORED])
+        g = Graph(2, [], [True, None])
         with pytest.raises(InvalidGraphError):
             p2c_to_position(g)
 
@@ -206,7 +212,7 @@ class TestProperTwoColoringReduction:
             assert check_p2c(g).agree
 
     def test_triangle(self):
-        g = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         check = check_p2c(g)
         assert check.agree
         # a triangle blocks after two proper moves, so the second player wins
@@ -363,7 +369,7 @@ class TestPositiveCnf:
 class TestPlayerCorrespondence:
     def test_blue_maps_to_true(self):
         # single vertex: whoever moves first paints it and wins
-        g = Graph.build(1, [])
+        g = Graph(1, [])
         blue_first = check_snort(g, Player.P1)
         assert blue_first.agree and blue_first.source.winner is Player.P1
         red_first = check_snort(g, Player.P2)
@@ -372,7 +378,7 @@ class TestPlayerCorrespondence:
     def test_middle_of_a_path_dominates(self):
         # painting the middle vertex of a 3-path blocks the opponent from
         # both neighbors, so the first player wins on both sides of the map
-        g = Graph.build(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         check = check_snort(g)
         assert check.agree
         assert check.source.winner is Player.P1

@@ -28,7 +28,6 @@ from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import TRUE, Assignment, parse_formula
 from qbfgames.generators import enumerate_graphs_up_to, random_cnf, random_positive_cnf
 from qbfgames.reductions import (
-    Color,
     Graph,
     PositiveCnfGame,
     ProperTwoColoringGame,
@@ -334,18 +333,18 @@ class _Chain:
 
 class TestAbstractGames:
     def test_snort_single_vertex_first_player_wins(self):
-        game = SnortGame(Graph.build(1, []))
+        game = SnortGame(Graph(1, []))
         out = solve_abstract(game)
         assert out.winner is Player.P1
 
     def test_p2c_on_an_edge_second_player_wins(self):
-        game = ProperTwoColoringGame(Graph.build(2, [(0, 1)]))
+        game = ProperTwoColoringGame(Graph(2, [(0, 1)]))
         assert solve_abstract(game).winner is Player.P2
 
     def test_p2c_on_an_edge_matches_exhaustive_enumeration(self):
         # brute force over every maximal play sequence: with optimal play the
         # first player wins iff they can force an odd-length sequence
-        game = ProperTwoColoringGame(Graph.build(2, [(0, 1)]))
+        game = ProperTwoColoringGame(Graph(2, [(0, 1)]))
 
         def value(state):
             moves = game.legal_moves(state)
@@ -366,7 +365,7 @@ class TestAbstractGames:
         assert solve_abstract(PositiveCnfGame(cnf)).winner is Player.P1
 
     def test_budget_applies(self):
-        game = SnortGame(Graph.build(4, [(0, 1), (2, 3)]))
+        game = SnortGame(Graph(4, [(0, 1), (2, 3)]))
         with pytest.raises(BudgetExceededError):
             solve_abstract(game, node_budget=2)
 
@@ -379,8 +378,8 @@ class TestAbstractGames:
         assert out.winner is Player.P2
 
     def test_source_games_share_one_board(self):
-        snort = SnortGame(Graph.build(3, [(0, 1)], [Color.UNCOLORED, Color.RED, Color.BLUE]))
-        p2c = ProperTwoColoringGame(Graph.build(2, [(0, 1)]))
+        snort = SnortGame(Graph(3, [(0, 1)], [None, False, True]))
+        p2c = ProperTwoColoringGame(Graph(2, [(0, 1)]))
         poscnf = PositiveCnfGame(Cnf(2, (((0, False), (1, False)),)))
         for game in (snort, p2c, poscnf):
             for name in ("initial_state", "mover", "apply", "is_terminal"):
