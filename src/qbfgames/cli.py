@@ -149,61 +149,50 @@ def _load_trace(name_or_path: str) -> GameTrace:
 
 def cmd_replay(args) -> int:
     trace = _load_trace(args.trace)
-    result = replay(trace)
     config = trace.initial.config
-    # Consecutive snapshots share their unchanged subtrees; one memo renders
+    write = sys.stdout.write
+    # Consecutive positions share their unchanged subtrees; one memo renders
     # each shared subtree once.
     memo = {}
     initial = to_text(trace.initial.formula, memo)
     if args.json:
-        steps = [
-            {
-                "mover": step.position.mover.opponent.name,
-                "move": str(step.move),
-                "formula": to_text(step.position.formula, memo),
-            }
-            for step in result.steps
-        ]
-        payload = {
-            "ruleset": config.name,
-            "initial": initial,
-            "steps": steps,
-            "illegal": None
-            if result.error is None
-            else {
-                "index": result.error_index,
-                "move": str(result.error.move),
-                "reason": result.error.reason,
-            },
-            "winner": None if result.winner is None else result.winner.name,
+        # written a step at a time, byte for byte as json.dump writes the
+        # whole document, which would hold every step's residual at once
+        write(f'{{"ruleset": {json.dumps(config.name)}, '
+              f'"initial": {json.dumps(initial)}, "steps": [')
+    else:
+        write(f"ruleset: {config.name}\ninitial: {initial}\n")
+    p, played, error = trace.initial, 0, None
+    try:
+        for move, p in replay(trace):
+            text = to_text(p.formula, memo)
+            # a step's root text is written once; the next step reuses only
+            # the texts of the subtrees below it
+            memo.pop(id(p.formula), None)
+            mover = p.mover.opponent
+            if args.json:
+                step = {"mover": mover.name, "move": str(move), "formula": text}
+                write((", " if played else "") + json.dumps(step))
+            else:
+                write(f"{played + 1:3}. {config.player_label(mover)} {move} -> {text}\n")
+            played += 1
+    except IllegalMoveError as e:
+        error = e
+    winner = final_winner(p) if error is None and is_terminal(p) else None
+    if args.json:
+        illegal = None if error is None else {
+            "index": played, "move": str(error.move), "reason": error.reason,
         }
-        # streamed: the document holds every step's residual, and json.dumps
-        # plus print would hold two more whole copies of it
-        json.dump(payload, sys.stdout)
-        print()
-        return EXIT_ILLEGAL_MOVE if result.error else EXIT_OK
-
-    print(f"ruleset: {config.name}")
-    print(f"initial: {initial}")
-    for i, step in enumerate(result.steps, start=1):
-        formula = step.position.formula
-        label = config.player_label(step.position.mover.opponent)
-        print(f"{i:3}. {label} {step.move} -> {to_text(formula, memo)}")
-        # a step's root text is printed once; the next step reuses only the
-        # texts of the subtrees below it
-        memo.pop(id(formula), None)
-    if result.error is not None:
-        print(
-            f"illegal move at step {result.error_index + 1}: "
-            f"{result.error.move} ({result.error.reason})",
-            file=sys.stderr,
-        )
-        return EXIT_ILLEGAL_MOVE
-    if result.winner is not None:
-        print(_winner_line(config, result.winner))
+        won = None if winner is None else winner.name
+        write(f'], "illegal": {json.dumps(illegal)}, "winner": {json.dumps(won)}}}\n')
+    elif error is not None:
+        print(f"illegal move at step {played + 1}: {error.move} ({error.reason})",
+              file=sys.stderr)
+    elif winner is not None:
+        print(_winner_line(config, winner))
     else:
         print("no winner: final position is not terminal")
-    return EXIT_OK
+    return EXIT_OK if error is None else EXIT_ILLEGAL_MOVE
 
 
 def cmd_reduce(args) -> int:

@@ -8,7 +8,8 @@ evaluate, same = a move is illegal iff the formula folds to false under the
 extended assignment, see `blatantly_false`, and a stuck player loses).
 
 Positions are immutable; `apply_move` builds each next one, its formula
-folded under the new assignment.  Player P1 always moves first from an empty
+folded under the new assignment, and `replay` plays a trace's moves through
+it one step at a time.  Player P1 always moves first from an empty
 assignment and is the True/Even side everywhere.
 """
 
@@ -267,37 +268,16 @@ class GameTrace(Record):
     __hash__ = None
 
 
-class ReplayStep(Record):
-    """A move and the position `apply_move` returned for it."""
+def replay(trace: GameTrace):
+    """Play the trace's moves with `apply_move`, yielding each move and the
+    position it reached, one step at a time.
 
-    __slots__ = ("move", "position")
-    __hash__ = None
-
-
-class ReplayResult(Record):
-    """Outcome of replaying a trace; illegal moves are reported, not raised.
-    `final` is the last position reached."""
-
-    __slots__ = ("initial", "steps", "error", "error_index", "final", "winner")
-    __hash__ = None
-
-
-def replay(trace: GameTrace) -> ReplayResult:
-    """`apply_move` over the trace moves in order, one step per move.
-
-    Stops at the first illegal move and embeds the error.  The winner is
-    reported when the last reached position is terminal.
+    An illegal move raises its IllegalMoveError after the steps before it.
     """
     p = trace.initial
-    steps = []
-    for i, m in enumerate(trace.moves):
-        try:
-            p = apply_move(p, m)
-        except IllegalMoveError as e:
-            return ReplayResult(trace.initial, steps, e, i, p, None)
-        steps.append(ReplayStep(m, p))
-    won = final_winner(p) if is_terminal(p) else None
-    return ReplayResult(trace.initial, steps, None, None, p, won)
+    for m in trace.moves:
+        p = apply_move(p, m)
+        yield m, p
 
 
 class PositionFormatError(Exception):

@@ -352,7 +352,7 @@ class Circuit:
 
     def __init__(self, f: Formula, n: int):
         self.values = [None] * n
-        self._occ = occ = [([], []) for _ in range(n)]
+        self._occ = occ = {}
         self._parent = parent = [-1]
         is_or, ctrl, open_ = [False], [0], [0]
 
@@ -368,7 +368,7 @@ class Circuit:
                     # (gate, hit) under each value: hit iff the literal then
                     # takes the gate's controlling value
                     hit = (f.negated != neg) == gate_is_or
-                    falses, trues = occ[f.var]
+                    falses, trues = occ.setdefault(f.var, ([], []))
                     falses.append((gate, hit))
                     trues.append((gate, not hit))
                     open_[gate] += 1
@@ -415,7 +415,7 @@ class Circuit:
         self.values[var] = value
         counts, parent, base = self.counts, self._parent, self._base
         step = base - 1
-        for gate, hit in self._occ[var][value]:
+        for gate, hit in self._occ.get(var, ((), ()))[value]:
             while True:
                 count = counts[gate]
                 if hit:
@@ -443,7 +443,7 @@ class Circuit:
         self.values[var] = None
         counts, parent, base = self.counts, self._parent, self._base
         step = base - 1
-        for gate, hit in self._occ[var][value]:
+        for gate, hit in self._occ.get(var, ((), ()))[value]:
             while True:
                 count = counts[gate]
                 if hit:

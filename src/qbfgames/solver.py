@@ -130,11 +130,11 @@ def solve(
     def candidates(mover, k):
         """The mover's candidate moves in the normative order: ascending
         variable, false before true; a same-goal one may be illegal."""
+        choices = (mover is p1,) if by_player else (False, True)
         if local:
-            vars_ = (k,) if k < n else ()
-        else:
-            vars_ = [i for i in range(n) if values[i] is None]
-        return product(vars_, (mover is p1,) if by_player else (False, True))
+            return product((k,) if k < n else (), choices)
+        # lazy, so a search cut short never lists the open variables
+        return ((i, c) for i in range(n) if values[i] is None for c in choices)
 
     def search(root, mover, k, key):
         nonlocal nodes

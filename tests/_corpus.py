@@ -3,12 +3,23 @@ positions, exhaustive small-formula enumeration, an independent bit-parallel
 truth-table oracle, a recursive reference evaluator, the paper's recursive
 definition of blatant falsity and truth, the node count and sign check the
 shape tests read, the seeded random formulas, positions and Snort graphs the
-tests draw, and the trace writer the round-trip tests read back."""
+tests draw, the trace writer the round-trip tests read back, and a replay
+that collects every step."""
 
 import itertools
 import random
 
-from qbfgames.engine import GameTrace, Locality, Position, RulesetConfig, format_position
+from qbfgames.engine import (
+    GameTrace,
+    IllegalMoveError,
+    Locality,
+    Position,
+    RulesetConfig,
+    final_winner,
+    format_position,
+    is_terminal,
+    replay,
+)
 from qbfgames.formula import (
     FALSE,
     TRUE,
@@ -317,3 +328,17 @@ def format_trace(t: GameTrace) -> str:
     for m in t.moves:
         lines.append(f"move x{m.var} {'T' if m.value else 'F'}")
     return "\n".join(lines) + "\n"
+
+
+def replay_all(trace: GameTrace):
+    """(steps, error, winner) of a whole replay: the (move, position) pairs
+    played, the IllegalMoveError that stopped it or None, and the winner when
+    the game ran to its end without one, else None."""
+    steps, error = [], None
+    try:
+        steps.extend(replay(trace))
+    except IllegalMoveError as e:
+        error = e
+    p = steps[-1][1] if steps else trace.initial
+    winner = final_winner(p) if error is None and is_terminal(p) else None
+    return steps, error, winner

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import qbfgames
 import qbfgames.cli as cli
 from qbfgames.cli import main
 from qbfgames.cnf import Cnf
@@ -106,6 +111,29 @@ class TestSolve:
         assert payload["winner"] == winner
         assert len(payload["pv"]) == 2000
 
+    @pytest.mark.parametrize("choice", ["either", "by-player"])
+    @pytest.mark.parametrize("locality", ["local", "anywhere"])
+    def test_budget_bounds_memory_on_a_wide_position(self, tmp_path, choice, locality):
+        # the budget stops the search at 10 nodes, so set-up must not grow
+        # with the million variables that the file declares and never uses
+        path = tmp_path / "wide.pos"
+        path.write_text(f"ruleset {choice} {locality} same\nvars 1000000\nassigned\ntrue\n")
+        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qbfgames.cli", "solve", str(path), "--budget", "10"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        # wait4 gives this child's own peak, where getrusage would give the
+        # largest of every child the test run has waited for
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        with child.stderr:
+            assert (child.returncode, child.stderr.read()) == (
+                3, "error: node budget of 10 exceeded\n"
+            )
+        assert usage.ru_maxrss < 120 * 1024  # KiB
+
 
 def nested_position(head, depth):
     """One-variable either-anywhere-same position whose formula nests `depth`
@@ -155,6 +183,93 @@ class TestNestingLimit:
         assert payload["winner"] == "P1"
 
 
+# replay's whole output, byte for byte: name -> (fixture name or trace text,
+# {mode: (exit code, stdout, stderr)}), one bundled fixture per goal, illegal
+# moves before and after a legal step, and a trace that stops before the end
+_SMALL = "ruleset either anywhere same\nvars 3\nassigned\n(or (and x0 x1) x2)\n"
+_SMALL_HEAD = "ruleset: either-anywhere-same\ninitial: (or (and x0 x1) x2)\n"
+_SMALL_JSON = '{"ruleset": "either-anywhere-same", "initial": "(or (and x0 x1) x2)", "steps": ['
+_SAMPLE_JSON = f'"initial": "{SAMPLE_TEXT}", "steps": ['
+REPLAY_PINS = {
+    "same-goal-fixture": ("by-player-local-same", {
+        "text": (0, (
+            "ruleset: by-player-local-same\n"
+            f"initial: {SAMPLE_TEXT}\n"
+            "  1. True x0=T -> (and (or x3 (not x1)) (or x2 x1 (not x6)) (or (not x2) (not x4) x3))\n"
+            "  2. False x1=F -> (and (or x2 (not x6)) (or (not x2) (not x4) x3))\n"
+            "  3. True x2=T -> (or (not x4) x3)\n"
+            "  4. False x3=F -> (not x4)\n"
+            "winner: P2 (False)\n"
+        ), ""),
+        "json": (0, (
+            '{"ruleset": "by-player-local-same", ' + _SAMPLE_JSON
+            + '{"mover": "P1", "move": "x0=T", "formula": '
+            '"(and (or x3 (not x1)) (or x2 x1 (not x6)) (or (not x2) (not x4) x3))"}, '
+            '{"mover": "P2", "move": "x1=F", "formula": '
+            '"(and (or x2 (not x6)) (or (not x2) (not x4) x3))"}, '
+            '{"mover": "P1", "move": "x2=T", "formula": "(or (not x4) x3)"}, '
+            '{"mover": "P2", "move": "x3=F", "formula": "(not x4)"}], '
+            '"illegal": null, "winner": "P2"}\n'
+        ), ""),
+    }),
+    "different-goal-fixture": ("either-anywhere-different", {
+        "text": (0, (
+            "ruleset: either-anywhere-different\n"
+            f"initial: {SAMPLE_TEXT}\n"
+            "  1. Even/True x3=T -> (and (or x2 x1 (not x6)) (or x4 (not x6) x0))\n"
+            "  2. Odd/False x6=T -> (and (or x2 x1) (or x4 x0))\n"
+            "  3. Even/True x4=T -> (or x2 x1)\n"
+            "  4. Odd/False x1=F -> x2\n"
+            "  5. Even/True x2=T -> true\n"
+            "  6. Odd/False x0=F -> true\n"
+            "  7. Even/True x5=T -> true\n"
+            "winner: P1 (Even/True)\n"
+        ), ""),
+        "json": (0, (
+            '{"ruleset": "either-anywhere-different", ' + _SAMPLE_JSON
+            + '{"mover": "P1", "move": "x3=T", "formula": '
+            '"(and (or x2 x1 (not x6)) (or x4 (not x6) x0))"}, '
+            '{"mover": "P2", "move": "x6=T", "formula": "(and (or x2 x1) (or x4 x0))"}, '
+            '{"mover": "P1", "move": "x4=T", "formula": "(or x2 x1)"}, '
+            '{"mover": "P2", "move": "x1=F", "formula": "x2"}, '
+            '{"mover": "P1", "move": "x2=T", "formula": "true"}, '
+            '{"mover": "P2", "move": "x0=F", "formula": "true"}, '
+            '{"mover": "P1", "move": "x5=T", "formula": "true"}], '
+            '"illegal": null, "winner": "P1"}\n'
+        ), ""),
+    }),
+    "illegal-first-move": (_SMALL + "move x3 T\n", {
+        "text": (4, _SMALL_HEAD, "illegal move at step 1: x3=T (out-of-range)\n"),
+        "json": (4, (
+            _SMALL_JSON + '], "illegal": {"index": 0, "move": "x3=T", '
+            '"reason": "out-of-range"}, "winner": null}\n'
+        ), ""),
+    }),
+    "illegal-second-move": (_SMALL + "move x0 F\nmove x2 F\n", {
+        "text": (
+            4,
+            _SMALL_HEAD + "  1. Even x0=F -> x2\n",
+            "illegal move at step 2: x2=F (blatantly-false)\n",
+        ),
+        "json": (4, (
+            _SMALL_JSON + '{"mover": "P1", "move": "x0=F", "formula": "x2"}], '
+            '"illegal": {"index": 1, "move": "x2=F", "reason": "blatantly-false"}, '
+            '"winner": null}\n'
+        ), ""),
+    }),
+    "unfinished": (_SMALL + "move x0 T\n", {
+        "text": (0, (
+            _SMALL_HEAD + "  1. Even x0=T -> (or x1 x2)\n"
+            "no winner: final position is not terminal\n"
+        ), ""),
+        "json": (0, (
+            _SMALL_JSON + '{"mover": "P1", "move": "x0=T", "formula": "(or x1 x2)"}], '
+            '"illegal": null, "winner": null}\n'
+        ), ""),
+    }),
+}
+
+
 class TestReplay:
     def test_bundled_sample_game(self, capsys):
         code, out, _ = run(capsys, "replay", "either-local-different")
@@ -199,6 +314,44 @@ class TestReplay:
     def test_unknown_fixture_exits_2(self, capsys):
         code, _, err = run(capsys, "replay", "no-such-fixture")
         assert code == 2
+
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(REPLAY_PINS))
+    def test_outputs_are_pinned(self, capsys, tmp_path, case, mode):
+        trace, pins = REPLAY_PINS[case]
+        if trace.startswith("ruleset"):
+            path = tmp_path / "pin.trace"
+            path.write_text(trace)
+            trace = str(path)
+        argv = ("replay", trace) + (("--json",) if mode == "json" else ())
+        assert run(capsys, *argv) == pins[mode]
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_memory_stays_below_half_the_output(self, tmp_path, monkeypatch, mode):
+        # every step writes its whole residual, so the output grows with the
+        # square of the line; replay holds the position it is at and the
+        # texts of the subtrees it still shares, not the steps it has written
+        n = 600
+        moves = "".join(f"move x{i} {'TF'[i % 2]}\n" for i in range(n))
+        path = tmp_path / "line.trace"
+        path.write_text(forced_line_position_text("by-player-local-different", n) + moves)
+        written = 0
+
+        class Sink:
+            def write(self, text):
+                nonlocal written
+                written += len(text)
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = main(["replay", str(path), *mode])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < written / 2, (peak, written)
+
 
 
 class TestReduce:

@@ -41,6 +41,7 @@ from _corpus import (
     format_trace,
     random_formula,
     random_position,
+    replay_all,
     spec_blatantly_false,
 )
 
@@ -307,29 +308,26 @@ class TestRulesetRelations:
 class TestReplay:
     def test_empty_trace(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
-        result = replay(GameTrace(p, []))
-        assert result.steps == []
-        assert result.winner is None
-        assert result.final is p
+        assert replay_all(GameTrace(p, [])) == ([], None, None)
 
     def test_full_game_reports_winner(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
         moves = [Move(i, v) for i, v in
                  [(0, True), (1, True), (2, False), (3, False), (4, True), (5, False), (6, False)]]
-        result = replay(GameTrace(p, moves))
-        assert result.error is None
-        assert len(result.steps) == 7
-        assert result.winner is Player.P2
+        steps, error, winner = replay_all(GameTrace(p, moves))
+        assert error is None
+        assert len(steps) == 7
+        assert winner is Player.P2
 
-    def test_illegal_move_is_embedded_not_raised(self):
+    def test_illegal_move_is_raised_after_the_steps_before_it(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
         moves = [Move(3, True), Move(3, False), Move(1, True)]
-        result = replay(GameTrace(p, moves))
-        assert result.error is not None
-        assert result.error_index == 1
-        assert result.error.reason == IllegalMoveError.OCCUPIED
-        assert len(result.steps) == 1
-        assert result.winner is None
+        steps = replay(GameTrace(p, moves))
+        assert next(steps) == (Move(3, True), apply_move(p, Move(3, True)))
+        with pytest.raises(IllegalMoveError) as raised:
+            next(steps)
+        assert raised.value.move == Move(3, False)
+        assert raised.value.reason == IllegalMoveError.OCCUPIED
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_replay_agrees_with_apply_move_on_the_original(self, config):
@@ -366,20 +364,19 @@ class TestReplay:
                     same_goal_decisions += 1
             winner = final_winner(p) if error is None and is_terminal(p) else None
 
-            result = replay(GameTrace(initial, moves))
-            assert [step.move for step in result.steps] == moves[: len(positions)]
-            for step, q in zip(result.steps, positions):
-                assert step.position == q
+            steps, raised, won = replay_all(GameTrace(initial, moves))
+            assert [move for move, _ in steps] == moves[: len(positions)]
+            for (_, step), q in zip(steps, positions):
+                assert step == q
                 assert q.formula == simplify(initial.formula, q.assignment)
                 # a fold reads back from the file format as the same tree
                 assert parse_position(format_position(q)) == q
             if error is None:
-                assert result.error is None and result.error_index is None
+                assert raised is None
             else:
-                assert (result.error_index, result.error.reason) == error
+                assert (len(steps), raised.reason) == error
                 reasons.add(error[1])
-            assert result.winner is winner
-            assert result.final.assignment == p.assignment
+            assert won is winner
             winners += winner is not None
         expected = {IllegalMoveError.OUT_OF_RANGE, IllegalMoveError.OCCUPIED}
         if config.locality is Locality.LOCAL:

@@ -159,10 +159,10 @@ class TestToText:
     def test_shared_memo_over_replay_snapshots(self):
         n = 60
         p = parse_position(forced_line_position_text("by-player-local-same", n))
-        result = replay(GameTrace(p, [Move(v, v % 2 == 0) for v in range(n)]))
-        assert len(result.steps) == n
+        steps = list(replay(GameTrace(p, [Move(v, v % 2 == 0) for v in range(n)])))
+        assert len(steps) == n
         memo = {}
-        for f in [p.formula] + [step.position.formula for step in result.steps]:
+        for f in [p.formula] + [q.formula for _, q in steps]:
             assert to_text(f, memo) == to_text(f)
 
     def test_shared_memo_over_dropped_formulas(self):

@@ -20,8 +20,6 @@ from qbfgames.engine import (
     Move,
     Player,
     Position,
-    ReplayResult,
-    ReplayStep,
     RulesetConfig,
     legal_moves,
 )
@@ -61,19 +59,9 @@ FROZEN = {
     Move: (Move(0, True), legal_moves(P)[0], Move(0, False)),
     Graph: (Graph(2, [(0, 1)]), Graph(2, [(1, 0)]), Graph(2, [])),
 }
-# the five that are records but were never hashable
+# the three that are records but were never hashable
 UNHASHABLE = {
     GameTrace: (GameTrace(P, [Move(0, True)]), GameTrace(P, [Move(0, True)]), GameTrace(P, [])),
-    ReplayStep: (
-        ReplayStep(Move(0, True), P),
-        ReplayStep(Move(0, True), P),
-        ReplayStep(Move(0, False), P),
-    ),
-    ReplayResult: (
-        ReplayResult(P, [], None, None, P, Player.P1),
-        ReplayResult(P, [], None, None, P, Player.P1),
-        ReplayResult(P, [], None, None, P, None),
-    ),
     Outcome: (WON, Outcome(winner=Player.P1, variation=[Move(0, True)], nodes=3), LOST),
     ReductionCheck: (
         ReductionCheck(WON, WON),

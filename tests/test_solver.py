@@ -22,7 +22,6 @@ from qbfgames.engine import (
     Position,
     parse_position,
     parse_trace,
-    replay,
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import TRUE, Assignment, parse_formula
@@ -50,6 +49,7 @@ from _corpus import (
     forced_line_position_text,
     random_position,
     random_snort_graph,
+    replay_all,
 )
 
 
@@ -146,9 +146,9 @@ class TestSolve:
             for _ in range(40):
                 p = random_position(rng, config, rng.randint(1, 7), rng.randint(1, 5))
                 out = solve(p)
-                result = replay(GameTrace(p, out.variation))
-                assert result.error is None
-                assert result.winner is out.winner
+                _, error, winner = replay_all(GameTrace(p, out.variation))
+                assert error is None
+                assert winner is out.winner
 
 
 class TestOracleEquivalence:
@@ -168,8 +168,8 @@ class TestOracleEquivalence:
             p = Position.initial(f, 4, config)
             out = solve(p)
             assert out.winner is solve_naive(p).winner, f
-            result = replay(GameTrace(p, out.variation))
-            assert result.error is None and result.winner is out.winner, f
+            _, error, winner = replay_all(GameTrace(p, out.variation))
+            assert error is None and winner is out.winner, f
 
     def test_line_rule(self):
         # the winner plays the first legal move after which the oracle still

@@ -7,7 +7,7 @@ from qbfgames.engine import Player, parse_trace, replay
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
 from qbfgames.formula import parse_formula, simplify, to_text
 
-from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace
+from _corpus import SAMPLE_TEXT, SAMPLE_VARS, format_trace, replay_all
 
 # fixture name -> (expected winner, per-step simplified formula)
 WORKED_GAMES = {
@@ -120,14 +120,14 @@ def test_worked_game(name):
     assert trace.initial.n == SAMPLE_VARS
     assert to_text(trace.initial.formula) == SAMPLE_TEXT
 
-    result = replay(trace)
-    assert result.error is None, f"illegal move in {name}: {result.error}"
-    assert result.winner is expected_winner
-    assert len(result.steps) == len(displays)
-    for i, (step, display) in enumerate(zip(result.steps, displays)):
+    steps, error, winner = replay_all(trace)
+    assert error is None, f"illegal move in {name}: {error}"
+    assert winner is expected_winner
+    assert len(steps) == len(displays)
+    for i, ((_, p), display) in enumerate(zip(steps, displays)):
         expected = parse_formula(display, SAMPLE_VARS)
-        assert step.position.formula == expected, (
-            f"{name} step {i + 1}: got {to_text(step.position.formula)}, want {display}"
+        assert p.formula == expected, (
+            f"{name} step {i + 1}: got {to_text(p.formula)}, want {display}"
         )
 
 
@@ -135,8 +135,8 @@ def test_worked_game(name):
 def test_snapshots_equal_a_fold_of_the_original(name):
     # replay folds each snapshot from the one before it
     trace = parse_trace(fixture_text(name))
-    for step in replay(trace).steps:
-        assert step.position.formula == simplify(trace.initial.formula, step.position.assignment)
+    for _, p in replay(trace):
+        assert p.formula == simplify(trace.initial.formula, p.assignment)
 
 
 @pytest.mark.parametrize("name", sorted(WORKED_GAMES))
