@@ -323,12 +323,15 @@ def _parse_human_move(line: str):
 
 def cmd_play(args) -> int:
     position = parse_position(_read_file(args.position))
+    # A file may hold assigned variables; `apply_move` keeps the fold from here.
+    position = Position(simplify(position.formula, position.assignment), position.n,
+                        position.assignment, position.config, position.mover)
     human = Player.P1 if args.human == 1 else Player.P2
     config = position.config
     print(f"ruleset: {config.name}")
     print(f"you play {human.name} ({config.player_label(human)})")
     while True:
-        print(f"formula: {to_text(simplify(position.formula, position.assignment))}")
+        print(f"formula: {to_text(position.formula)}")
         if is_terminal(position):
             final = final_winner(position)
             if config.goal is Goal.SAME:

@@ -52,9 +52,10 @@ class Player(Enum):
     P1 = 1
     P2 = 2
 
-    @property
-    def opponent(self) -> "Player":
-        return Player.P2 if self is Player.P1 else Player.P1
+
+# A plain attribute of each member, not a property: searches read it at
+# every node.
+Player.P1.opponent, Player.P2.opponent = Player.P2, Player.P1
 
 
 class RulesetConfig(Record):

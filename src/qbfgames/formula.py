@@ -266,8 +266,8 @@ def substitute(f: Formula, values) -> Formula:
 
     Any subtree the fold leaves unchanged is returned as the same object, so
     refolding a residual after one more assignment rebuilds only the paths
-    that hold the new variable.  The solver relies on that: it keeps one
-    mutable value list and refolds the residual formula at every move.
+    that hold the new variable.  `apply_move` relies on that: it refolds
+    the last position's formula at every move.
     """
     kind = type(f)
     if kind is And or kind is Or:
@@ -368,7 +368,10 @@ class Circuit:
                     # (gate, hit) under each value: hit iff the literal then
                     # takes the gate's controlling value
                     hit = (f.negated != neg) == gate_is_or
-                    falses, trues = occ.setdefault(f.var, ([], []))
+                    entry = occ.get(f.var)
+                    if entry is None:  # cheaper than setdefault's fresh pair
+                        entry = occ[f.var] = ([], [])
+                    falses, trues = entry
                     falses.append((gate, hit))
                     trues.append((gate, not hit))
                     open_[gate] += 1
@@ -433,7 +436,9 @@ class Circuit:
                 if gate < 0:
                     break
                 hit = not hit
-        return self.value
+        # `value`, inline: `solve` reads it after every move
+        count = counts[0]
+        return False if count >= base else None if count else True
 
     def unassign(self, var: int):
         """Undo `assign(var, ...)` and return the root's value."""
@@ -459,7 +464,8 @@ class Circuit:
                 if gate < 0:
                     break
                 hit = not hit
-        return self.value
+        count = counts[0]
+        return False if count >= base else None if count else True
 
 
 def free_variables(f: Formula) -> set:

@@ -1,10 +1,14 @@
 """Exact winner determination.
 
-`solve` runs win/loss backward induction on a compiled `Circuit`.  Its memo
-maps the assignment, as a base-4 integer, to the winner and nothing else
-(the formula, ruleset, variable count and root mover are fixed within one
-solve, so the assignment fixes the mover); the principal variation is read
-back from the winners after the search.  Its `nodes` counts visited
+`solve` runs win/loss backward induction on a compiled `Circuit`.  Under
+the anywhere rulesets it tries first the moves that send the most literal
+occurrences toward the mover's goal, a static order in the manner of the
+Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps the
+assignment, as a base-4 integer, to the winner and nothing else (the
+formula, ruleset, variable count and root mover are fixed within one solve,
+so the assignment fixes the mover); the principal variation is read back
+from the winners after the search in the normative move order, so it does
+not depend on the search order.  Its `nodes` counts visited
 positions; under the different goal a position whose fold is already a
 constant is a leaf.  On the two by-player-local rulesets every position has
 at most one move, so `solve` walks the one forced line in at most n + 1
@@ -19,7 +23,8 @@ no code with `solve`.
 from __future__ import annotations
 
 import sys
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .engine import (
     BooleanChoice,
@@ -83,6 +88,42 @@ class Outcome(Record):
         super().__init__(winner, variation, nodes)
 
 
+def _goal_orders(circuit: Circuit, same: bool, by_player: bool) -> tuple:
+    """P1's and P2's moves on the open variables that occur, in the order
+    `solve` searches them: first the move that sends the most of its
+    variable's literal occurrences toward the mover's goal, ties in the
+    normative order.  P1 under the different goal wants the formula true
+    and counts the occurrences a move satisfies; every other mover counts
+    those it falsifies.
+
+    A move falsifies its (gate, hit=False) occurrences in `_occ[var][value]`
+    and satisfies the rest.  `_occ[var][True]` holds the complement hits of
+    `_occ[var][False]`, so one sum per variable counts both values: false
+    falsifies `low` occurrences and true falsifies `high`.
+    """
+    values, hits = circuit.values, itemgetter(1)
+    # each move's weight for a falsifier and for a satisfier, negated so that
+    # ascending sorts heaviest first; the keys go in the normative order
+    falsify, satisfy = {}, {}
+    for var, (falses, _) in sorted(circuit._occ.items()):
+        if values[var] is None:
+            high = sum(map(hits, falses))
+            low = len(falses) - high
+            falsify[var, False], falsify[var, True] = -low, -high
+            satisfy[var, False], satisfy[var, True] = -high, -low
+
+    def order(weights, value=None):
+        # the sort is stable, so equal weights keep the normative order
+        moves = weights if value is None else [m for m in weights if m[1] is value]
+        return sorted(moves, key=weights.__getitem__)
+
+    p1_weights = falsify if same else satisfy
+    if by_player:
+        # P1 plays true, P2 false
+        return order(p1_weights, True), order(falsify, False)
+    return order(p1_weights), order(falsify)
+
+
 def solve(
     position: Position,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -96,13 +137,21 @@ def solve(
     already decided is a leaf: its winner is fixed whatever is played.
     `nodes` counts the positions visited, such leaves included.
 
+    A node stops at its mover's first winning move, so the order of the
+    moves decides the work.  Under the anywhere rulesets the search tries
+    them in the goal-aware order of `_goal_orders`, fixed once per solve
+    over the variables that occur; those that do not occur follow in
+    ascending order.  Under the local rulesets there is one variable to play.
+
     The memo maps each visited position to its winner.  The principal
-    variation is read back from it with one rule, since the winner never
-    changes along an optimal line: moves are tried in the normative order
-    (ascending variable, false before true), the loser plays their first
-    legal move, and the winner their first legal move after which the memo
-    still gives them the game.  A position missing from the memo lies below
-    a decided different-goal root, where every move keeps the winner.
+    variation is read back from it with the normative rule, since the winner
+    never changes along an optimal line: the loser plays their first legal
+    move in the normative order, and the winner their first legal move after
+    which the memo does not give the game to the loser.  A child the memo
+    lacks is searched then, and counted.  Once the line reaches a decided
+    different-goal root every move keeps the winner, so the rest of the line
+    is the lowest open variable at each turn, false unless the ruleset fixes
+    the value.
 
     The memo keys on the assignment alone, as a base-4 integer with digit 0
     (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
@@ -120,21 +169,37 @@ def solve(
     elif memo:
         raise ValueError("memo must start empty")
     circuit = Circuit(position.formula, n)
-    assign, unassign, values = circuit.assign, circuit.unassign, circuit.values
+    assign, unassign, values, occ = circuit.assign, circuit.unassign, circuit.values, circuit._occ
+    assigned = position.assignment.items()
     root_key = 0
-    for var, value in position.assignment.items():
+    for var, value in assigned:
         assign(var, value)
         root_key += (1 + value) << 2 * var
     nodes = 0
 
-    def candidates(mover, k):
+    def normative(mover, k):
         """The mover's candidate moves in the normative order: ascending
         variable, false before true; a same-goal one may be illegal."""
         choices = (mover is p1,) if by_player else (False, True)
         if local:
             return product((k,) if k < n else (), choices)
-        # lazy, so a search cut short never lists the open variables
+        # lazy, so a walk cut short never lists the open variables
         return ((i, c) for i in range(n) if values[i] is None for c in choices)
+
+    if local:
+        candidates = normative
+    else:
+        p1_order, p2_order = _goal_orders(circuit, same, by_player)
+        complete = len(occ) == n
+
+        def candidates(mover, k):
+            """The goal order, then the variables that do not occur, lazily;
+            a move may be on an assigned variable."""
+            moves = p1_order if mover is p1 else p2_order
+            if complete:
+                return moves
+            choices = (mover is p1,) if by_player else (False, True)
+            return chain(moves, ((i, c) for i in range(n) if i not in occ for c in choices))
 
     def search(root, mover, k, key):
         nonlocal nodes
@@ -151,6 +216,8 @@ def solve(
             # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
             for var, value in candidates(mover, k):
+                if values[var] is not None:
+                    continue
                 child = assign(var, value)
                 # the `blatantly_false` rule: illegal iff the fold is false
                 wins = not (same and child is False) and (
@@ -163,28 +230,39 @@ def solve(
         memo[key] = won
         return won
 
-    # `search` recurses once per move; a line has at most n moves.
-    won = call_deep(n, search, circuit.value, position.mover,
-                    position.assignment.assigned_count, root_key)
+    def line(root, mover, k):
+        """The winner and the principal variation.  The winner keeps the
+        game along an optimal line: in the normative order the loser plays
+        their first legal move, the winner their first after which the game
+        is not the loser's, searching any child that the memo lacks."""
+        won = search(root, mover, k, root_key)
+        lost = won.opponent
+        variation = []
+        key = root_key
+        while same or root is None:
+            for var, value in normative(mover, k):
+                child = assign(var, value)
+                child_key = key + ((1 + value) << 2 * var)
+                if (not same or child is not False) and (
+                    mover is not won
+                    or search(child, mover.opponent, k + 1, child_key) is not lost
+                ):
+                    break
+                unassign(var)
+            else:
+                return won, variation
+            variation.append(Move(var, value))
+            root, mover, k, key = child, mover.opponent, k + 1, child_key
+        # A decided different-goal root keeps its winner whatever is played,
+        # so each move is the normative first: the lowest open variable.
+        for var in range(n):
+            if values[var] is None:
+                variation.append(Move(var, by_player and mover is p1))
+                mover = mover.opponent
+        return won, variation
 
-    # The winner keeps the game along an optimal line: the loser plays their
-    # first legal move, the winner their first after which the memo does not
-    # give the game to the loser.  A child missing from the memo lies below a
-    # decided different-goal root, where every move keeps the winner.
-    variation = []
-    lost = won.opponent
-    mover, k, key = position.mover, position.assignment.assigned_count, root_key
-    while True:
-        for var, value in candidates(mover, k):
-            child_key = key + ((1 + value) << 2 * var)
-            legal = assign(var, value) is not False or not same
-            if legal and (mover is not won or memo.get(child_key) is not lost):
-                break
-            unassign(var)
-        else:
-            break
-        variation.append(Move(var, value))
-        mover, k, key = mover.opponent, k + 1, child_key
+    # `search` recurses once per move, and a line has at most n moves.
+    won, variation = call_deep(n, line, circuit.value, position.mover, len(assigned))
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 

@@ -3,21 +3,24 @@ positions, exhaustive small-formula enumeration, an independent bit-parallel
 truth-table oracle, a recursive reference evaluator, the paper's recursive
 definition of blatant falsity and truth, the node count and sign check the
 shape tests read, the seeded random formulas, positions and Snort graphs the
-tests draw, the trace writer the round-trip tests read back, and a replay
-that collects every step."""
+tests draw, the trace writer the round-trip tests read back, a replay
+that collects every step, and a check of `solve`'s memo as a proof."""
 
 import itertools
 import random
 
 from qbfgames.engine import (
     GameTrace,
+    Goal,
     IllegalMoveError,
     Locality,
+    Player,
     Position,
     RulesetConfig,
     final_winner,
     format_position,
     is_terminal,
+    legal_moves,
     replay,
 )
 from qbfgames.formula import (
@@ -31,6 +34,7 @@ from qbfgames.formula import (
     Not,
     Or,
     UnassignedVariableError,
+    substitute,
 )
 from qbfgames.generators import random_cnf, random_graph
 from qbfgames.reductions import Graph
@@ -342,3 +346,45 @@ def replay_all(trace: GameTrace):
     p = steps[-1][1] if steps else trace.initial
     winner = final_winner(p) if error is None and is_terminal(p) else None
     return steps, error, winner
+
+
+def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
+    """Check `solve(position, memo=memo)`'s memo as a proof that `winner`
+    wins, by the engine's rules alone; an AssertionError names the first
+    entry that fails.
+
+    Each entry's key is decoded into its assignment (base 4: digit 0
+    unassigned, 1 false, 2 true for variable i at 4^i), the original formula
+    is folded under it with `substitute`, and the mover follows from parity
+    against the root.  Then: a constant fold under the different goal is a
+    leaf with its fixed winner; with no legal move the winner is
+    `final_winner`; a mover who wins has a legal child whose entry says so;
+    and a mover who loses has an entry naming the opponent at every legal
+    child.  Nothing of `Circuit` is used.
+    """
+    n, config = position.n, position.config
+    root_key = sum((1 + value) << 2 * var for var, value in position.assignment.items())
+    root_count = position.assignment.assigned_count
+    assert memo.get(root_key) is winner, "root entry"
+    for key, won in memo.items():
+        values = [None if digit == 0 else digit == 2
+                  for digit in ((key >> 2 * var) & 3 for var in range(n))]
+        assignment = Assignment(tuple(values))
+        mover = position.mover
+        if (assignment.assigned_count - root_count) % 2:
+            mover = mover.opponent
+        folded = substitute(position.formula, values)
+        if config.goal is Goal.DIFFERENT and type(folded) is Const:
+            assert won is (Player.P1 if folded.value else Player.P2), ("leaf", key)
+            continue
+        p = Position(folded, n, assignment, config, mover)
+        moves = legal_moves(p)
+        if not moves:
+            assert won is final_winner(p), ("finished", key)
+            continue
+        children = [memo.get(key + ((1 + m.value) << 2 * m.var)) for m in moves]
+        if won is mover:
+            assert mover in children, ("no winning child", key)
+        else:
+            assert won is mover.opponent, ("winner", key)
+            assert all(child is won for child in children), ("a child unsearched or won", key)

@@ -14,6 +14,7 @@ import qbfgames.cli as cli
 from qbfgames.cli import main
 from qbfgames.cnf import Cnf
 from qbfgames.engine import Move, Player, apply_move, parse_position
+from qbfgames.formula import simplify
 from qbfgames.reductions import ReductionCheck, format_graph, parse_graph
 from qbfgames.solver import Outcome, solve
 
@@ -133,6 +134,33 @@ class TestSolve:
                 3, "error: node budget of 10 exceeded\n"
             )
         assert usage.ru_maxrss < 120 * 1024  # KiB
+
+    def _timed_solve(self, tmp_path, text, *flags, timeout):
+        path = tmp_path / "wide.pos"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "qbfgames.cli", "solve", str(path), *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=timeout,
+        )
+
+    def test_decided_line_is_written_in_one_pass(self, tmp_path):
+        # the root is decided, so the PV is the lowest open variable at each
+        # turn, written in one pass; a scan from x0 at each turn is quadratic
+        text = "ruleset by-player anywhere different\nvars 20000\nassigned\ntrue\n"
+        done = self._timed_solve(tmp_path, text, "--pv", timeout=5)
+        assert done.returncode == 0
+        pv = done.stdout.splitlines()[-1].split()
+        assert pv[1:4] == ["x0=T", "x1=F", "x2=T"] and len(pv) == 20001
+
+    @pytest.mark.parametrize("choice", ["either", "by-player"])
+    @pytest.mark.parametrize("locality", ["local", "anywhere"])
+    def test_budget_leaves_a_decided_wide_position_quick(self, tmp_path, choice, locality):
+        # one node, then a million-move line that the budget does not charge
+        text = f"ruleset {choice} {locality} different\nvars 1000000\nassigned\ntrue\n"
+        done = self._timed_solve(tmp_path, text, "--budget", "10", timeout=60)
+        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "nodes: 1")
 
 
 def nested_position(head, depth):
@@ -666,6 +694,31 @@ class TestPlay:
         code, _, err = self._play(capsys, monkeypatch, text, "", tmp_path=tmp_path)
         assert code == 2
         assert "input closed" in err
+
+    def test_assigned_file_prints_its_fold_once_folded(self, capsys, monkeypatch, tmp_path):
+        # the file's assigned variables are folded once, before the first
+        # turn; later turns print the fold `apply_move` keeps
+        text = (
+            "ruleset either anywhere different\nvars 5\nassigned 1=T 3=F\n"
+            "(and (or x0 x1 (not x3)) (or (not x1) x2 x4) (or x0 (not x2) x3) (or (not x0) x4))\n"
+        )
+        folds = []
+        monkeypatch.setattr(cli, "simplify", lambda f, a: folds.append(f) or simplify(f, a))
+        code, out, _ = self._play(capsys, monkeypatch, text, "x2 T\nx4 F\n", tmp_path=tmp_path)
+        assert code == 0
+        assert len(folds) == 1
+        prompt = "your move (Even/True), e.g. 'x3 T': "
+        assert out == (
+            "ruleset: either-anywhere-different\n"
+            "you play P1 (Even/True)\n"
+            "formula: (and (or x2 x4) (or x0 (not x2)) (or (not x0) x4))\n"
+            f"{prompt}formula: (and x0 (or (not x0) x4))\n"
+            "solver plays x0=F\n"
+            "formula: false\n"
+            f"{prompt}formula: false\n"
+            "winner: P2 (Odd/False)\n"
+            "solver wins.\n"
+        )
 
     def test_solver_keeps_winning_position(self, capsys, monkeypatch, tmp_path):
         # solver moves first on a formula it can always win; after its printed

@@ -20,6 +20,7 @@ from qbfgames.engine import (
     Move,
     Player,
     Position,
+    RulesetConfig,
     parse_position,
     parse_trace,
 )
@@ -45,6 +46,7 @@ from qbfgames.solver import (
 from _corpus import (
     SAMPLE_TEXT,
     SAMPLE_VARS,
+    check_memo_proof,
     enumerate_formulas,
     forced_line_position_text,
     random_position,
@@ -223,16 +225,56 @@ class TestOracleEquivalence:
         assert calls["in_winner"] == 0
 
 
+def _random_3cnf_position(ruleset, n, seed=1):
+    rng = random.Random(f"{ruleset}:{n}:{seed}")
+    return Position.initial(random_cnf(rng, n, 2 * n).to_formula(), n,
+                            RulesetConfig.from_name(ruleset))
+
+
+class TestMemoProof:
+    """`solve`'s memo checked entry by entry as a proof of its winner, by the
+    engine's rules alone: an oracle above `solve_naive`'s 12 variables."""
+
+    @pytest.mark.parametrize("ruleset, n", [
+        ("either-anywhere-same", 10),
+        ("either-anywhere-different", 13),
+        ("by-player-anywhere-same", 13),
+        ("by-player-anywhere-different", 16),
+        ("either-local-same", 24),
+        ("either-local-different", 24),
+        ("by-player-local-same", 30),
+        ("by-player-local-different", 30),
+    ])
+    def test_memo_proves_the_winner(self, ruleset, n):
+        p = _random_3cnf_position(ruleset, n)
+        memo = {}
+        out = solve(p, memo=memo)
+        check_memo_proof(p, memo, out.winner)
+
+    @pytest.mark.parametrize("ruleset", ["either-anywhere-different", "by-player-anywhere-same",
+                                         "either-local-same"])
+    def test_a_flipped_entry_fails(self, ruleset):
+        p = _random_3cnf_position(ruleset, 8)
+        memo = {}
+        winner = solve(p, memo=memo).winner
+        rng = random.Random(ruleset)
+        for key in rng.sample(sorted(memo), 20):
+            flipped = dict(memo)
+            flipped[key] = memo[key].opponent
+            with pytest.raises(AssertionError):
+                check_memo_proof(p, flipped, winner)
+
+
 # fixture name -> solve's (winner, nodes, PV) on the trace's initial position
 FIXTURE_SOLVES = {
     "either-local-different": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "either-local-same": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
-    "either-anywhere-different": (Player.P1, 1207, "x3=T x0=F x1=T x2=F x4=T x5=F x6=F"),
-    "either-anywhere-same": (Player.P1, 234, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-anywhere-different": (Player.P1, 428, "x3=T x0=F x1=T x2=F x4=T x5=F x6=F"),
+    "either-anywhere-same": (Player.P1, 375, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "by-player-local-different": (Player.P2, 6, "x0=T x1=F x2=T x3=F x4=T x5=F x6=T"),
     "by-player-local-same": (Player.P2, 5, "x0=T x1=F x2=T x3=F"),
-    "by-player-anywhere-different": (Player.P1, 144, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
-    "by-player-anywhere-same": (Player.P1, 206, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
+    "by-player-anywhere-different": (Player.P1, 134, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
+    "by-player-anywhere-same": (Player.P1, 231, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
 }
 
 
@@ -242,20 +284,33 @@ def test_fixture_solve_is_pinned(name):
     assert (out.winner, out.nodes, " ".join(map(str, out.variation))) == FIXTURE_SOLVES[name]
 
 
-def test_solve_outputs_are_pinned():
-    # winner, nodes and PV of 800 seeded positions, 100 per ruleset with
-    # n <= 10, a quarter of them with the mover overridden
+def _pinned_solves():
+    """`solve` on 800 seeded positions, 100 per ruleset with n <= 10, a
+    quarter of them with the mover overridden."""
     rng = random.Random(2024)
-    rows = []
     for config in ALL_CONFIGS:
         for _ in range(100):
             p = random_position(rng, config, rng.randint(1, 10), rng.randint(1, 20))
             if rng.random() < 0.25:
                 p = Position.initial(p.formula, p.n, config, p.assignment, p.mover.opponent)
-            out = solve(p)
-            rows.append((config.name, out.winner.name, out.nodes, [str(m) for m in out.variation]))
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "2bc3b0a8db729180e3febe8c85e95b0128958d29eb0c98e6878c215bc1c90bc4"
+            yield config, solve(p)
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_solve_outputs_are_pinned():
+    # the winners and PVs; a change of search order must keep them
+    rows = [(config.name, out.winner.name, [str(m) for m in out.variation])
+            for config, out in _pinned_solves()]
+    assert _digest(rows) == "7ffcf11be08491bbedc7fd32fb387407e3d04f67fdada9f11ec831c9273fd9de"
+
+
+def test_solve_nodes_are_pinned():
+    # the node counts, which the search order decides
+    rows = [(config.name, out.nodes) for config, out in _pinned_solves()]
+    assert _digest(rows) == "fb7685d6395c6682bf9643b48a95e095d693d5c2f0ba41655fb94b7bc2632d59"
 
 
 class TestSimulation:
