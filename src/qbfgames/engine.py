@@ -19,7 +19,6 @@ from enum import Enum
 
 from .formula import (
     FALSE,
-    Assignment,
     Formula,
     FormulaError,
     Record,
@@ -142,7 +141,10 @@ class IllegalMoveError(Exception):
 
 class Position(Record):
     """Formula, variable count, assignment, ruleset, and player to move.
-    `initial` keeps the formula as given; `apply_move` keeps it folded."""
+
+    The assignment is a tuple of one value per variable: True, False or
+    None (unassigned).  `initial` keeps the formula as given; `apply_move`
+    keeps it folded."""
 
     __slots__ = ("formula", "n", "assignment", "config", "mover")
 
@@ -152,19 +154,19 @@ class Position(Record):
         formula: Formula,
         n: int,
         config: RulesetConfig,
-        assignment: Assignment | None = None,
+        assignment=None,
         mover: Player | None = None,
     ) -> "Position":
         """Validated entry point.
 
         Pre-assigned variables are allowed (reductions use them); the mover
         defaults to the parity rule (P1 when the assigned count is even) and
-        may be overridden explicitly.
+        may be overridden explicitly.  `assignment` is any sequence of
+        True/False/None, stored as a tuple; it defaults to all None.
         """
         if n < 0:
             raise PositionError("variable count must be non-negative")
-        if assignment is None:
-            assignment = Assignment.empty(n)
+        assignment = (None,) * n if assignment is None else tuple(assignment)
         if len(assignment) != n:
             raise PositionError(
                 f"assignment covers {len(assignment)} variables, expected {n}"
@@ -174,26 +176,28 @@ class Position(Record):
             raise PositionError(
                 f"formula mentions x{min(out_of_range)} but only {n} variables declared"
             )
-        if config.locality is Locality.LOCAL:
-            k = assignment.assigned_count
-            if any(assignment[i] is None for i in range(k)):
-                raise PositionError(
-                    "local rulesets require the assigned variables to be a prefix"
-                )
+        k = n - assignment.count(None)
+        if config.locality is Locality.LOCAL and None in assignment[:k]:
+            raise PositionError(
+                "local rulesets require the assigned variables to be a prefix"
+            )
         if mover is None:
-            mover = Player.P1 if assignment.assigned_count % 2 == 0 else Player.P2
+            mover = Player.P1 if k % 2 == 0 else Player.P2
         return cls(formula, n, assignment, config, mover)
 
-    @property
-    def assigned_count(self) -> int:
-        return self.assignment.assigned_count
+
+def _extended(assignment: tuple, var: int, value: bool) -> tuple:
+    """The assignment with `var` set to `value`."""
+    values = list(assignment)
+    values[var] = value
+    return tuple(values)
 
 
 def _candidate_vars(p: Position) -> list:
+    a = p.assignment
     if p.config.locality is Locality.LOCAL:
-        low = p.assignment.lowest_unassigned()
-        return [] if low is None else [low]
-    return p.assignment.unassigned()
+        return [a.index(None)] if None in a else []
+    return [i for i, v in enumerate(a) if v is None]
 
 
 def _candidate_values(p: Position) -> tuple:
@@ -208,7 +212,7 @@ def legal_moves(p: Position) -> list:
     moves = []
     for var in _candidate_vars(p):
         for value in _candidate_values(p):
-            if same and blatantly_false(p.formula, p.assignment.assign(var, value)):
+            if same and blatantly_false(p.formula, _extended(p.assignment, var, value)):
                 continue
             moves.append(Move(var, value))
     return moves
@@ -225,7 +229,7 @@ def apply_move(p: Position, m: Move) -> Position:
     if p.assignment[m.var] is not None:
         raise IllegalMoveError(m, IllegalMoveError.OCCUPIED)
     if p.config.locality is Locality.LOCAL:
-        low = p.assignment.lowest_unassigned()
+        low = p.assignment.index(None)
         if m.var != low:
             raise IllegalMoveError(
                 m, IllegalMoveError.WRONG_LOCATION, f"lowest unassigned is x{low}"
@@ -239,7 +243,7 @@ def apply_move(p: Position, m: Move) -> Position:
                 f"{p.config.player_label(p.mover)} assigns only "
                 f"{'T' if required else 'F'}",
             )
-    extended = p.assignment.assign(m.var, m.value)
+    extended = _extended(p.assignment, m.var, m.value)
     folded = simplify(p.formula, extended)
     if p.config.goal is Goal.SAME and folded == FALSE:
         raise IllegalMoveError(m, IllegalMoveError.BLATANTLY_FALSE)
@@ -327,14 +331,19 @@ def _parse_header(lines):
     n = int(tokens[0])
 
     lineno, tokens = take("assigned")
-    pairs = []
+    values = [None] * n
     for tok in tokens:
         var_part, sep, val_part = tok.partition("=")
         if not sep or not is_decimal(var_part) or val_part not in ("T", "F"):
             raise PositionFormatError(
                 f"bad assigned token {tok!r}, expected <index>=T|F", lineno
             )
-        pairs.append((int(var_part), val_part == "T"))
+        var = int(var_part)
+        if var >= n:
+            raise PositionFormatError(f"variable x{var} out of range for {n} variable(s)")
+        if values[var] is not None:
+            raise PositionFormatError(f"variable x{var} assigned twice")
+        values[var] = val_part == "T"
 
     mover = None
     if idx < len(meaningful) and meaningful[idx][1].split()[0] == "mover":
@@ -357,8 +366,7 @@ def _parse_header(lines):
 
     try:
         formula = parse_formula(" ".join(formula_parts), n)
-        assignment = Assignment.from_pairs(n, pairs)
-        position = Position.initial(formula, n, config, assignment, mover)
+        position = Position.initial(formula, n, config, values, mover)
     except (ValueError, FormulaError) as e:
         raise PositionFormatError(str(e)) from None
     return position, move_lines
@@ -400,13 +408,13 @@ def parse_trace(text: str) -> GameTrace:
 
 def format_position(p: Position) -> str:
     """Render a position in the file format; inverse of `parse_position`."""
+    assigned = [(i, v) for i, v in enumerate(p.assignment) if v is not None]
     lines = [
         f"ruleset {p.config.choice.value} {p.config.locality.value} {p.config.goal.value}",
         f"vars {p.n}",
-        "assigned"
-        + "".join(f" {i}={'T' if v else 'F'}" for i, v in p.assignment.items()),
+        "assigned" + "".join(f" {i}={'T' if v else 'F'}" for i, v in assigned),
     ]
-    parity_mover = Player.P1 if p.assignment.assigned_count % 2 == 0 else Player.P2
+    parity_mover = Player.P1 if len(assigned) % 2 == 0 else Player.P2
     if p.mover is not parity_mover:
         lines.append(f"mover {p.mover.value}")
     lines.append(to_text(p.formula))

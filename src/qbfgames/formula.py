@@ -2,13 +2,13 @@
 
 Formulas are immutable trees built from five node kinds: `Const`, `Literal`,
 `Not`, and the n-ary `And` / `Or`.  Variables are non-negative indices below a
-declared count, and game state assigns each variable one of three values:
-true, false, or unassigned (represented as ``True`` / ``False`` / ``None``).
+declared count.  An assignment is a sequence with one value per variable:
+``True``, ``False`` or ``None`` (unassigned).
 
-Partial evaluation is one routine, `substitute(f, values)`.  `simplify` is
-that fold under an `Assignment`, `blatantly_false`, the legality test of
-the same-goal rulesets, asks whether the fold gives the false constant, and
-`evaluate` is the fold too: it reads the constant the fold gives.
+Partial evaluation is one routine, `substitute(f, values)`, also bound as
+`simplify`.  `blatantly_false`, the legality test of the same-goal rulesets,
+asks whether the fold gives the false constant, and `evaluate` is the fold
+too: it reads the constant the fold gives.
 
 The text format is parenthesized prefix notation:
 
@@ -77,10 +77,10 @@ class Record:
     `repr` names each field.  Setting or deleting an attribute raises
     AttributeError, so fields are stored with `object.__setattr__`: this
     `__init__` stores its arguments in slot order, and a subclass that
-    normalises or validates calls it (the formula nodes and `Assignment`,
-    built in bulk by parsing and folding, store theirs directly).  A class
-    that is not meant to be hashed sets `__hash__ = None`.  Copy and pickle
-    rebuild a record from its fields through its constructor.
+    normalises or validates calls it (the formula nodes, built in bulk by
+    parsing and folding, store theirs directly).  A class that is not meant
+    to be hashed sets `__hash__ = None`.  Copy and pickle rebuild a record
+    from its fields through its constructor.
     """
 
     __slots__ = ()
@@ -162,78 +162,18 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-class Assignment(Record):
-    """Per-variable ternary state: a tuple holding True, False, or None.
-
-    Values are never overwritten; `assign` returns a new Assignment and
-    refuses to touch an already-assigned variable.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        _set(self, "values", tuple(values))
-
-    @classmethod
-    def empty(cls, n: int) -> "Assignment":
-        if n < 0:
-            raise ValueError("variable count must be non-negative")
-        return cls((None,) * n)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "Assignment":
-        values = [None] * n
-        for var, value in pairs:
-            if not 0 <= var < n:
-                raise VariableRangeError(var, n)
-            if values[var] is not None:
-                raise ValueError(f"variable x{var} assigned twice")
-            values[var] = bool(value)
-        return cls(tuple(values))
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, var: int):
-        return self.values[var]
-
-    def assign(self, var: int, value: bool) -> "Assignment":
-        if self.values[var] is not None:
-            raise ValueError(f"variable x{var} is already assigned")
-        values = list(self.values)
-        values[var] = bool(value)
-        return Assignment(tuple(values))
-
-    @property
-    def assigned_count(self) -> int:
-        return sum(1 for v in self.values if v is not None)
-
-    def unassigned(self) -> list:
-        return [i for i, v in enumerate(self.values) if v is None]
-
-    def lowest_unassigned(self):
-        for i, v in enumerate(self.values):
-            if v is None:
-                return i
-        return None
-
-    def items(self):
-        """Assigned (var, value) pairs in ascending variable order."""
-        return [(i, v) for i, v in enumerate(self.values) if v is not None]
-
-
-def evaluate(f: Formula, a: Assignment) -> bool:
-    """Standard Boolean semantics: the fold of f under a, which must be a
-    constant; otherwise raises UnassignedVariableError naming the lowest
+def evaluate(f: Formula, values) -> bool:
+    """Standard Boolean semantics: the fold of f under values, which must be
+    a constant; otherwise raises UnassignedVariableError naming the lowest
     variable left open in the fold."""
-    s = substitute(f, a.values)
+    s = substitute(f, values)
     if type(s) is Const:
         return s.value
     raise UnassignedVariableError(min(free_variables(s)))
 
 
-def blatantly_false(f: Formula, a: Assignment) -> bool:
-    """The same-goal legality test: f folds to the false constant under a.
+def blatantly_false(f: Formula, values) -> bool:
+    """The same-goal legality test: f folds to the false constant under values.
 
     The paper calls f blatantly false when a false-assigned literal, the
     constant false, a Not over a blatantly true child, an Or of blatantly
@@ -243,12 +183,12 @@ def blatantly_false(f: Formula, a: Assignment) -> bool:
     neither, so e.g. x0 AND (not x0) is a contradiction but not blatantly
     false.
     """
-    s = substitute(f, a.values)
+    s = substitute(f, values)
     return type(s) is Const and not s.value
 
 
-def simplify(f: Formula, a: Assignment) -> Formula:
-    """Partially evaluate f under a.
+def substitute(f: Formula, values) -> Formula:
+    """Partially evaluate f under values, one True/False/None per variable.
 
     Substitutes assigned variables by constants, then applies a fixed rule
     set: constant short-circuiting, removal of constant children, flattening
@@ -257,12 +197,6 @@ def simplify(f: Formula, a: Assignment) -> Formula:
     it.  No distribution or absorption.  The result mentions only unassigned
     variables, or is a constant, and agrees with f on every completion of
     the remaining variables.
-    """
-    return substitute(f, a.values)
-
-
-def substitute(f: Formula, values) -> Formula:
-    """`simplify` over a bare per-variable sequence (None = unassigned).
 
     Any subtree the fold leaves unchanged is returned as the same object, so
     refolding a residual after one more assignment rebuilds only the paths
@@ -324,6 +258,10 @@ def substitute(f: Formula, values) -> Formula:
     if kind is Const:
         return f
     raise TypeError(f"not a formula node: {f!r}")
+
+
+# The fold's other name, which the engine and the CLI call it by.
+simplify = substitute
 
 
 class Circuit:

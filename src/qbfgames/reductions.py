@@ -9,8 +9,8 @@ winner carries over:
   * Positive CNF (Schaefer's game)        -> by-player-anywhere-different
   * Positive CNF with free value choice   -> either-anywhere-different
 
-A graph's paint is an `Assignment` in waiting: blue is True/P1, red is
-False/P2 and an unpainted vertex is None.  Elsewhere first mover maps to
+A graph's paint is a position's assignment in waiting: blue is True/P1, red
+is False/P2 and an unpainted vertex is None.  Elsewhere first mover maps to
 first mover.
 
 Each check plays the source game with `solve_abstract` and the reduced
@@ -38,7 +38,7 @@ from .engine import (
     Player,
     Position,
 )
-from .formula import TRUE, And, Assignment, Literal, Or, Record, is_decimal
+from .formula import TRUE, And, Literal, Or, Record, is_decimal
 from .solver import DEFAULT_NODE_BUDGET, solve, solve_abstract
 
 
@@ -62,8 +62,9 @@ class Graph(Record):
     """Undirected graph with optional per-vertex paint.
 
     `edges` is a sorted tuple of distinct (i, j) pairs with i < j, and
-    `paint` a tuple of one value per vertex, as in an `Assignment`: True
-    (blue), False (red) or None (unpainted).  `paint` defaults to all None.
+    `paint` a tuple of one value per vertex, in the format of
+    `Position.assignment`: True (blue), False (red) or None (unpainted).
+    `paint` defaults to all None.
     """
 
     __slots__ = ("n_vertices", "edges", "paint")
@@ -235,7 +236,7 @@ def snort_to_position(graph: Graph, first_player: Player = Player.P1) -> Positio
         clauses += [((i, False), (j, True)), ((i, True), (j, False))]
     formula = Cnf(graph.n_vertices, clauses).to_formula()
     return Position.initial(
-        formula, graph.n_vertices, BY_PLAYER_ANYWHERE_SAME, Assignment(graph.paint), first_player
+        formula, graph.n_vertices, BY_PLAYER_ANYWHERE_SAME, graph.paint, first_player
     )
 
 

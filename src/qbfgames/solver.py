@@ -170,11 +170,11 @@ def solve(
         raise ValueError("memo must start empty")
     circuit = Circuit(position.formula, n)
     assign, unassign, values, occ = circuit.assign, circuit.unassign, circuit.values, circuit._occ
-    assigned = position.assignment.items()
     root_key = 0
-    for var, value in assigned:
-        assign(var, value)
-        root_key += (1 + value) << 2 * var
+    for var, value in enumerate(position.assignment):
+        if value is not None:
+            assign(var, value)
+            root_key += (1 + value) << 2 * var
     nodes = 0
 
     def normative(mover, k):
@@ -262,7 +262,8 @@ def solve(
         return won, variation
 
     # `search` recurses once per move, and a line has at most n moves.
-    won, variation = call_deep(n, line, circuit.value, position.mover, len(assigned))
+    assigned = n - position.assignment.count(None)
+    won, variation = call_deep(n, line, circuit.value, position.mover, assigned)
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 

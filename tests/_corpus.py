@@ -27,7 +27,6 @@ from qbfgames.formula import (
     FALSE,
     TRUE,
     And,
-    Assignment,
     Const,
     Formula,
     Literal,
@@ -46,6 +45,15 @@ SAMPLE_TEXT = (
     "(or x4 (not x6) x0) (or (not x2) (not x4) x3))"
 )
 SAMPLE_VARS = 7
+
+
+def from_pairs(n: int, pairs) -> tuple:
+    """The assignment over n variables that sets each (var, value) pair and
+    leaves every other variable None."""
+    values = [None] * n
+    for var, value in pairs:
+        values[var] = value
+    return tuple(values)
 
 
 def forced_line_position_text(ruleset, n, seed=0):
@@ -100,7 +108,7 @@ def truth_table(f):
 def completion_mask(a):
     """Bitmask of the full assignments extending partial assignment a."""
     mask = _FULL
-    for i, v in enumerate(a.values):
+    for i, v in enumerate(a):
         if v is None:
             continue
         mask &= _VAR_MASKS[i] if v else ~_VAR_MASKS[i] & _FULL
@@ -109,10 +117,7 @@ def completion_mask(a):
 
 def all_partial_assignments():
     """All 3^4 ternary assignments over 4 variables."""
-    return [
-        Assignment(values)
-        for values in itertools.product((True, False, None), repeat=_NVARS)
-    ]
+    return list(itertools.product((True, False, None), repeat=_NVARS))
 
 
 _LEAVES = tuple(
@@ -162,7 +167,7 @@ def spec_evaluate(f, a):
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Literal):
-        v = a.values[f.var]
+        v = a[f.var]
         if v is None:
             raise UnassignedVariableError(f.var)
         return (not v) if f.negated else v
@@ -188,7 +193,7 @@ def spec_blatantly_false(f, a):
     if isinstance(f, Const):
         return not f.value
     if isinstance(f, Literal):
-        v = a.values[f.var]
+        v = a[f.var]
         return v is not None and v == f.negated
     if isinstance(f, Not):
         return spec_blatantly_true(f.child, a)
@@ -204,7 +209,7 @@ def spec_blatantly_true(f, a):
     if isinstance(f, Const):
         return f.value
     if isinstance(f, Literal):
-        v = a.values[f.var]
+        v = a[f.var]
         return v is not None and v != f.negated
     if isinstance(f, Not):
         return spec_blatantly_false(f.child, a)
@@ -323,8 +328,7 @@ def random_position(
     else:
         chosen = rng.sample(range(n), k)
     pairs = [(var, rng.random() < 0.5) for var in chosen]
-    assignment = Assignment.from_pairs(n, pairs)
-    return Position.initial(formula, n, config, assignment)
+    return Position.initial(formula, n, config, from_pairs(n, pairs))
 
 
 def format_trace(t: GameTrace) -> str:
@@ -363,21 +367,21 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
     child.  Nothing of `Circuit` is used.
     """
     n, config = position.n, position.config
-    root_key = sum((1 + value) << 2 * var for var, value in position.assignment.items())
-    root_count = position.assignment.assigned_count
+    root_key = sum((1 + value) << 2 * var
+                   for var, value in enumerate(position.assignment) if value is not None)
+    root_open = position.assignment.count(None)
     assert memo.get(root_key) is winner, "root entry"
     for key, won in memo.items():
-        values = [None if digit == 0 else digit == 2
-                  for digit in ((key >> 2 * var) & 3 for var in range(n))]
-        assignment = Assignment(tuple(values))
+        values = tuple(None if digit == 0 else digit == 2
+                       for digit in ((key >> 2 * var) & 3 for var in range(n)))
         mover = position.mover
-        if (assignment.assigned_count - root_count) % 2:
+        if (root_open - values.count(None)) % 2:
             mover = mover.opponent
         folded = substitute(position.formula, values)
         if config.goal is Goal.DIFFERENT and type(folded) is Const:
             assert won is (Player.P1 if folded.value else Player.P2), ("leaf", key)
             continue
-        p = Position(folded, n, assignment, config, mover)
+        p = Position(folded, n, values, config, mover)
         moves = legal_moves(p)
         if not moves:
             assert won is final_winner(p), ("finished", key)

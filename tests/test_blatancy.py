@@ -12,7 +12,6 @@ from qbfgames.formula import (
     FALSE,
     TRUE,
     And,
-    Assignment,
     Literal,
     Not,
     Or,
@@ -26,6 +25,7 @@ from _corpus import (
     all_partial_assignments,
     completion_mask,
     enumerate_formulas,
+    from_pairs,
     random_formula,
     spec_blatantly_false,
     spec_blatantly_true,
@@ -34,7 +34,7 @@ from _corpus import (
 
 
 def empty(n):
-    return Assignment.empty(n)
+    return (None,) * n
 
 
 def blatantly_true(f, a):
@@ -59,12 +59,12 @@ class TestDefinitionCases:
         assert not blatantly_false(f, empty(1))
 
     def test_false_assigned_literal(self):
-        a = Assignment.from_pairs(1, [(0, False)])
+        a = from_pairs(1, [(0, False)])
         assert blatantly_false(Literal(0), a)
         assert blatantly_true(Literal(0, True), a)
 
     def test_true_assigned_literal(self):
-        a = Assignment.from_pairs(1, [(0, True)])
+        a = from_pairs(1, [(0, True)])
         assert blatantly_true(Literal(0), a)
         assert blatantly_false(Literal(0, True), a)
 
@@ -79,17 +79,17 @@ class TestDefinitionCases:
     def test_sample_formula_blatantly_true_after_five_moves(self):
         # x3=T x1=F x2=T x4=F x0=T makes every clause blatantly true
         f = parse_formula(SAMPLE_TEXT, SAMPLE_VARS)
-        a = Assignment.from_pairs(
+        a = from_pairs(
             SAMPLE_VARS, [(3, True), (1, False), (2, True), (4, False), (0, True)]
         )
         assert blatantly_true(f, a)
         assert not blatantly_true(
-            f, Assignment.from_pairs(SAMPLE_VARS, [(3, True), (1, False)])
+            f, from_pairs(SAMPLE_VARS, [(3, True), (1, False)])
         )
 
     def test_not_swaps_polarity(self):
         inner = Or((Literal(0), Literal(1)))
-        a = Assignment.from_pairs(2, [(0, True)])
+        a = from_pairs(2, [(0, True)])
         assert blatantly_true(inner, a)
         assert blatantly_false(Not(inner), a)
 
@@ -164,6 +164,6 @@ class TestSimplifyAgreement:
         for _ in range(400):
             n = rng.randint(1, 8)
             f = random_formula(rng, n, budget=rng.randint(0, 12))
-            a = Assignment(tuple(rng.choice((True, False, None)) for _ in range(n)))
+            a = tuple(rng.choice((True, False, None)) for _ in range(n))
             assert blatantly_false(f, a) == spec_blatantly_false(f, a)
             assert blatantly_true(f, a) == spec_blatantly_true(f, a)

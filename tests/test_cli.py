@@ -162,6 +162,18 @@ class TestSolve:
         done = self._timed_solve(tmp_path, text, "--budget", "10", timeout=60)
         assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "nodes: 1")
 
+    def test_pv_is_formatted_only_when_printed(self, capsys, monkeypatch, tmp_path):
+        # a decided 50-move line, which neither --pv nor --json asks for
+        path = tmp_path / "line.pos"
+        path.write_text("ruleset by-player anywhere different\nvars 50\nassigned\ntrue\n")
+        formatted = []
+        move_repr = Move.__repr__
+        monkeypatch.setattr(Move, "__repr__", lambda m: formatted.append(m) or move_repr(m))
+        assert run(capsys, "solve", str(path)) == (
+            0, "ruleset: by-player-anywhere-different\nwinner: P1 (True)\nnodes: 1\n", ""
+        )
+        assert formatted == []
+
 
 def nested_position(head, depth):
     """One-variable either-anywhere-same position whose formula nests `depth`

@@ -33,12 +33,13 @@ from qbfgames.engine import (
     parse_trace,
     replay,
 )
-from qbfgames.formula import Assignment, Literal, parse_formula, simplify
+from qbfgames.formula import Literal, parse_formula, simplify
 
 from _corpus import (
     SAMPLE_TEXT,
     SAMPLE_VARS,
     format_trace,
+    from_pairs,
     random_formula,
     random_position,
     replay_all,
@@ -88,22 +89,22 @@ class TestPositionConstruction:
     def test_mover_defaults_to_parity(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
         assert p.mover is Player.P1
-        a = Assignment.from_pairs(SAMPLE_VARS, [(3, True)])
+        a = from_pairs(SAMPLE_VARS, [(3, True)])
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT, a)
         assert p.mover is Player.P2
 
     def test_mover_override(self):
-        a = Assignment.from_pairs(SAMPLE_VARS, [(3, True)])
+        a = from_pairs(SAMPLE_VARS, [(3, True)])
         p = Position.initial(
             sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT, a, Player.P1
         )
         assert p.mover is Player.P1
 
     def test_local_requires_prefix_assignment(self):
-        a = Assignment.from_pairs(3, [(2, True)])
+        a = from_pairs(3, [(2, True)])
         with pytest.raises(PositionError):
             Position.initial(parse_formula("x0", 3), 3, EITHER_LOCAL_SAME, a)
-        prefix = Assignment.from_pairs(3, [(0, True)])
+        prefix = from_pairs(3, [(0, True)])
         Position.initial(parse_formula("x0", 3), 3, EITHER_LOCAL_SAME, prefix)
 
     def test_formula_variables_must_fit(self):
@@ -117,7 +118,7 @@ class TestPositionConstruction:
 
     def test_assignment_length_must_match(self):
         with pytest.raises(PositionError):
-            Position.initial(parse_formula("x0", 2), 2, EITHER_LOCAL_SAME, Assignment.empty(3))
+            Position.initial(parse_formula("x0", 2), 2, EITHER_LOCAL_SAME, (None,) * 3)
 
 
 class TestLegalMoves:
@@ -240,7 +241,7 @@ class TestRulesetRelations:
                 local_cfg = RulesetConfig(choice, Locality.LOCAL, goal)
                 anywhere_cfg = RulesetConfig(choice, Locality.ANYWHERE, goal)
                 for p in self._positions(11, local_cfg):
-                    low = p.assignment.lowest_unassigned()
+                    low = next((i for i, v in enumerate(p.assignment) if v is None), None)
                     q = Position.initial(p.formula, p.n, anywhere_cfg, p.assignment, p.mover)
                     filtered = [m for m in legal_moves(q) if m.var == low]
                     assert legal_moves(p) == filtered
@@ -268,7 +269,9 @@ class TestRulesetRelations:
                     filtered = [
                         m
                         for m in legal_moves(q)
-                        if not blatantly_false(p.formula, p.assignment.assign(m.var, m.value))
+                        if not blatantly_false(
+                            p.formula, p.assignment[: m.var] + (m.value,) + p.assignment[m.var + 1 :]
+                        )
                     ]
                     assert legal_moves(p) == filtered
 
@@ -359,7 +362,7 @@ class TestReplay:
                     assert not spec_blatantly_false(initial.formula, p.assignment)
                     same_goal_decisions += 1
                 elif error is not None and error[1] == IllegalMoveError.BLATANTLY_FALSE:
-                    extended = p.assignment.assign(m.var, m.value)
+                    extended = p.assignment[: m.var] + (m.value,) + p.assignment[m.var + 1 :]
                     assert spec_blatantly_false(initial.formula, extended)
                     same_goal_decisions += 1
             winner = final_winner(p) if error is None and is_terminal(p) else None
@@ -393,7 +396,7 @@ class TestReplay:
 
 class TestFileFormats:
     def test_position_round_trip(self):
-        a = Assignment.from_pairs(SAMPLE_VARS, [(1, True), (4, False)])
+        a = from_pairs(SAMPLE_VARS, [(1, True), (4, False)])
         p = Position.initial(sample_formula(), SAMPLE_VARS, BY_PLAYER_ANYWHERE_SAME, a, Player.P2)
         text = format_position(p)
         assert "mover 2" in text  # two variables assigned, so parity says P1
@@ -403,7 +406,7 @@ class TestFileFormats:
     def test_mover_line_only_when_overriding_parity(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
         assert "mover" not in format_position(p)
-        a = Assignment.from_pairs(SAMPLE_VARS, [(2, True)])
+        a = from_pairs(SAMPLE_VARS, [(2, True)])
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_SAME, a, Player.P1)
         assert "mover 1" in format_position(p)
 
@@ -417,7 +420,7 @@ class TestFileFormats:
         p = parse_position(text)
         assert p.config == BY_PLAYER_ANYWHERE_SAME
         assert p.n == 3
-        assert p.assignment.values == (True, None, False)
+        assert p.assignment == (True, None, False)
         assert p.mover is Player.P1  # k=2, parity
 
     def test_comments_and_blank_lines_ignored(self):
@@ -446,6 +449,7 @@ class TestFileFormats:
             "ruleset either local same\nvars 1\nassigned\n",
             "ruleset either local same\nvars 1\nassigned\nx4\n",
             "ruleset either local same\nvars 1\nassigned 2=T\nx0\n",
+            "ruleset either local same\nvars 2\nassigned 0=T 0=F\nx0\n",
         ]
         for text in bad:
             with pytest.raises(PositionFormatError):

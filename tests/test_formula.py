@@ -12,7 +12,6 @@ from qbfgames.formula import (
     MAX_DEPTH,
     TRUE,
     And,
-    Assignment,
     Circuit,
     Const,
     FormulaSyntaxError,
@@ -34,6 +33,7 @@ from _corpus import (
     and_,
     enumerate_formulas,
     forced_line_position_text,
+    from_pairs,
     node_count,
     not_,
     or_,
@@ -47,7 +47,7 @@ def sample_formula():
 
 
 def assignment_of(n, *pairs):
-    return Assignment.from_pairs(n, pairs)
+    return from_pairs(n, pairs)
 
 
 class TestParse:
@@ -129,7 +129,7 @@ class TestParse:
 
     def test_nesting_limit_is_exact(self):
         at_limit = "(or " * MAX_DEPTH + "x0" + ")" * MAX_DEPTH
-        assert simplify(parse_formula(at_limit, 1), Assignment.empty(1)) == Literal(0)
+        assert simplify(parse_formula(at_limit, 1), (None,)) == Literal(0)
         with pytest.raises(FormulaSyntaxError) as err:
             parse_formula("(or " + at_limit + ")", 1)
         # reported at the parenthesis that opens level MAX_DEPTH + 1
@@ -177,37 +177,37 @@ class TestToText:
 
 class TestEvaluate:
     def test_sample_game_final_assignment_is_false(self):
-        a = Assignment((True, True, False, False, True, False, False))
+        a = (True, True, False, False, True, False, False)
         assert evaluate(sample_formula(), a) is False
 
     def test_const_true_under_any_assignment(self):
-        assert evaluate(TRUE, Assignment.empty(0)) is True
-        assert evaluate(TRUE, Assignment((False, None))) is True
+        assert evaluate(TRUE, ()) is True
+        assert evaluate(TRUE, (False, None)) is True
 
     def test_forced_line_completion_is_false(self):
         # the choice-free play order fills T,F,T,F,... ; completing with
         # x4=T, x5=F, x6=T still falsifies the last clause
-        a = Assignment((True, False, True, False, True, False, True))
+        a = (True, False, True, False, True, False, True)
         assert evaluate(sample_formula(), a) is False
 
     def test_unassigned_variable_raises(self):
         with pytest.raises(UnassignedVariableError) as err:
-            evaluate(sample_formula(), Assignment.empty(SAMPLE_VARS))
+            evaluate(sample_formula(), (None,) * SAMPLE_VARS)
         assert err.value.var in range(SAMPLE_VARS)
 
     def test_unused_variable_may_stay_open(self):
-        a = Assignment((True, True, False, False, True, None, False))
+        a = (True, True, False, False, True, None, False)
         assert evaluate(sample_formula(), a) is False
 
     def test_a_constant_fold_needs_no_open_variable(self):
         # x0=T decides the Or, though the open x1 comes first
-        assert evaluate(Or((Literal(1), Literal(0))), Assignment((True, None))) is True
+        assert evaluate(Or((Literal(1), Literal(0))), (True, None)) is True
 
     def test_open_residual_names_its_lowest_variable(self):
         # x1=T folds (or x0 x1) away, so the residual is (or x3 x2)
         f = parse_formula("(and (or x0 x1) (or x3 x2))", 4)
         with pytest.raises(UnassignedVariableError) as err:
-            evaluate(f, Assignment((None, True, None, None)))
+            evaluate(f, (None, True, None, None))
         assert err.value.var == 2
 
 
@@ -223,9 +223,9 @@ class TestSimplify:
 
     def test_empty_assignment_only_flattens(self):
         f = sample_formula()
-        assert simplify(f, Assignment.empty(SAMPLE_VARS)) == f
+        assert simplify(f, (None,) * SAMPLE_VARS) == f
         nested = parse_formula("(and (and x0 x1) (or x2 (or x3 x4)))", 5)
-        assert simplify(nested, Assignment.empty(5)) == parse_formula(
+        assert simplify(nested, (None,) * 5) == parse_formula(
             "(and x0 x1 (or x2 x3 x4))", 5
         )
 
@@ -239,12 +239,12 @@ class TestSimplify:
 
     def test_full_assignment_gives_constant(self):
         f = sample_formula()
-        a = Assignment((True, True, False, False, True, False, False))
+        a = (True, True, False, False, True, False, False)
         assert simplify(f, a) == FALSE
 
     def test_double_negation_removal(self):
         f = Not(Not(Or((Literal(0), Literal(1)))))
-        assert simplify(f, Assignment.empty(2)) == Or((Literal(0), Literal(1)))
+        assert simplify(f, (None,) * 2) == Or((Literal(0), Literal(1)))
 
     def test_semantic_preservation_random(self):
         # simplify(f,a) under a completion agrees with f under a + completion,
@@ -254,15 +254,15 @@ class TestSimplify:
             n = rng.randint(1, 10)
             f = random_formula(rng, n, budget=rng.randint(0, 10))
             values = [rng.choice((True, False, None)) for _ in range(n)]
-            a = Assignment(tuple(values))
+            a = tuple(values)
             s = simplify(f, a)
-            assert free_variables(s) <= set(a.unassigned())
-            open_vars = a.unassigned()
+            open_vars = [i for i, v in enumerate(a) if v is None]
+            assert free_variables(s) <= set(open_vars)
             for bits in itertools.product((False, True), repeat=len(open_vars)):
                 completed = list(values)
                 for var, bit in zip(open_vars, bits):
                     completed[var] = bit
-                full = Assignment(tuple(completed))
+                full = tuple(completed)
                 assert spec_evaluate(s, full) == spec_evaluate(f, full)
 
     def test_substitute_matches_simplify(self):
@@ -273,14 +273,14 @@ class TestSimplify:
             n = rng.randint(1, 8)
             f = random_formula(rng, n, budget=rng.randint(0, 10))
             values = [rng.choice((True, False, None)) for _ in range(n)]
-            a = Assignment(tuple(values))
-            s = simplify(f, a)
-            open_vars = a.unassigned()
+            s = simplify(f, values)
+            open_vars = [i for i, v in enumerate(values) if v is None]
             if not open_vars:
                 continue
             var = rng.choice(open_vars)
-            extended = a.assign(var, rng.random() < 0.5)
-            assert substitute(s, extended.values) == simplify(f, extended)
+            extended = list(values)
+            extended[var] = rng.random() < 0.5
+            assert substitute(s, extended) == simplify(f, extended)
 
 
 def fold_value(f, values):
@@ -380,21 +380,3 @@ class TestBuildersAndNodes:
     def test_node_count(self):
         assert node_count(Literal(0)) == 1
         assert node_count(sample_formula()) == 1 + 4 + 12
-
-    def test_assignment_never_reassigns(self):
-        a = Assignment.empty(2).assign(0, True)
-        with pytest.raises(ValueError):
-            a.assign(0, False)
-
-    def test_assignment_from_pairs_validates(self):
-        with pytest.raises(VariableRangeError):
-            Assignment.from_pairs(2, [(2, True)])
-        with pytest.raises(ValueError):
-            Assignment.from_pairs(2, [(0, True), (0, False)])
-
-    def test_assignment_helpers(self):
-        a = Assignment((True, None, False, None))
-        assert a.assigned_count == 2
-        assert a.unassigned() == [1, 3]
-        assert a.lowest_unassigned() == 1
-        assert a.items() == [(0, True), (2, False)]

@@ -24,7 +24,6 @@ from qbfgames.formula import (
     FALSE,
     TRUE,
     And,
-    Assignment,
     Circuit,
     Const,
     FormulaSyntaxError,
@@ -82,7 +81,7 @@ def nested_assignments(draw):
     wider = draw(st.lists(st.sampled_from((True, False, None)), min_size=n, max_size=n))
     kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     narrower = [v if keep else None for v, keep in zip(wider, kept)]
-    return n, f, Assignment(narrower), Assignment(wider)
+    return n, f, tuple(narrower), tuple(wider)
 
 
 def is_normal_form(f):
@@ -117,7 +116,7 @@ def test_fold_reads_back_from_its_text(case):
 @given(nested_assignments())
 def test_fold_composes_over_nested_assignments(case):
     _, f, a, wider = case
-    assert substitute(simplify(f, a), wider.values) == simplify(f, wider)
+    assert substitute(simplify(f, a), wider) == simplify(f, wider)
 
 
 @PROPERTY
@@ -185,7 +184,7 @@ def positions(draw):
         values = draw(st.lists(TERNARY, min_size=n, max_size=n))
     mover = draw(st.sampled_from((None, Player.P1, Player.P2)))
     f = draw(formulas(n, negate=parsed_not))
-    return Position.initial(f, n, config, Assignment(values), mover)
+    return Position.initial(f, n, config, values, mover)
 
 
 @PROPERTY

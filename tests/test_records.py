@@ -23,7 +23,7 @@ from qbfgames.engine import (
     RulesetConfig,
     legal_moves,
 )
-from qbfgames.formula import And, Assignment, Const, Formula, Literal, Not, Or, to_text
+from qbfgames.formula import And, Const, Formula, Literal, Not, Or, to_text
 from qbfgames.reductions import Graph, ReductionCheck
 from qbfgames.solver import Outcome
 
@@ -40,11 +40,6 @@ FROZEN = {
     Not: (Not(F), Not(And([X0, Or([X1, Not(And([X0, X1]))])])), Not(X0)),
     And: (And((X0,)), And([X0]), Or((X0,))),
     Or: (Or((X0, X1)), Or(iter([X0, X1])), Or((X1, X0))),
-    Assignment: (
-        Assignment((None, True)),
-        Assignment.empty(2).assign(1, True),
-        Assignment((None, False)),
-    ),
     Cnf: (
         Cnf(2, [[(0, False), (1, True)]]),
         Cnf(2, (((0, False), (1, True)),)),
@@ -108,7 +103,6 @@ def test_value_semantics(cls):
 
 def test_repr_and_arity():
     assert repr(Outcome(Player.P1)) == "Outcome(winner=<Player.P1: 1>, variation=None, nodes=0)"
-    assert repr(Assignment((None, True))) == "Assignment(values=(None, True))"
     with pytest.raises(TypeError):
         Position(F, 2)
     with pytest.raises(TypeError):

@@ -136,7 +136,7 @@ class TestSnortReduction:
     def test_painted_vertices_become_assignments(self):
         g = Graph(3, [(0, 1)], [True, None, False])
         p = snort_to_position(g)
-        assert p.assignment.values == (True, None, False)
+        assert p.assignment == (True, None, False)
         assert p.mover is Player.P1  # caller's choice, default Blue/True
 
     def test_first_player_parameter(self):

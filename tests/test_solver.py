@@ -25,7 +25,7 @@ from qbfgames.engine import (
     parse_trace,
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
-from qbfgames.formula import TRUE, Assignment, parse_formula
+from qbfgames.formula import TRUE, parse_formula
 from qbfgames.generators import enumerate_graphs_up_to, random_cnf, random_positive_cnf
 from qbfgames.reductions import (
     Graph,
@@ -71,7 +71,7 @@ class TestSolve:
             parse_formula("x0", 1),
             1,
             EITHER_LOCAL_DIFFERENT,
-            Assignment.from_pairs(1, [(0, False)]),
+            (False,),
         )
         out = solve(p)
         assert out.winner is Player.P2
@@ -343,7 +343,7 @@ class TestSimulation:
                 n = rng.randint(1, 8)
                 p = random_position(rng, config, n, rng.randint(1, 6))
                 out = solve(p)
-                assert out.nodes <= n - p.assignment.assigned_count + 1
+                assert out.nodes <= p.assignment.count(None) + 1
                 assert out.winner is solve_naive(p).winner
 
     @pytest.mark.parametrize(
