@@ -2,9 +2,9 @@
 
 Subcommands: solve, replay, reduce, verify, gen, play.
 
-Exit codes: 0 success, 2 malformed input or bad parameters, 3 node budget
-exceeded, 4 illegal move during replay, 5 verification found a
-winner-preservation disagreement.
+Exit codes: 0 success, 2 malformed input, bad parameters or out of memory,
+3 node budget exceeded, 4 illegal move during replay, 5 verification found
+a winner-preservation disagreement.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ INPUT_ERRORS = (
     NaiveLimitError,
     OSError,
     ValueError,
+    MemoryError,  # a declared size such as `vars 10**15` fails to allocate
 )
 
 
@@ -447,7 +448,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except INPUT_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -82,6 +82,13 @@ class RulesetConfig(Record):
                 f"unknown ruleset tokens {choice!r} {locality!r} {goal!r}"
             ) from None
 
+    def choices(self, mover: Player) -> tuple:
+        """The values `mover` may write: both, false first, or under
+        by-player true for P1 and false for P2."""
+        if self.choice is BooleanChoice.BY_PLAYER:
+            return (True,) if mover is Player.P1 else (False,)
+        return (False, True)
+
     def player_label(self, player: Player) -> str:
         """Human name for a player under this ruleset."""
         if self.choice is BooleanChoice.BY_PLAYER:
@@ -162,7 +169,8 @@ class Position(Record):
         Pre-assigned variables are allowed (reductions use them); the mover
         defaults to the parity rule (P1 when the assigned count is even) and
         may be overridden explicitly.  `assignment` is any sequence of
-        True/False/None, stored as a tuple; it defaults to all None.
+        True/False/None, stored as a tuple (any other value raises
+        PositionError); it defaults to all None.
         """
         if n < 0:
             raise PositionError("variable count must be non-negative")
@@ -171,6 +179,9 @@ class Position(Record):
             raise PositionError(
                 f"assignment covers {len(assignment)} variables, expected {n}"
             )
+        for value in assignment:
+            if value is not None and type(value) is not bool:  # 1 == True
+                raise PositionError(f"assignment value {value!r} is not True, False or None")
         out_of_range = [v for v in free_variables(formula) if not 0 <= v < n]
         if out_of_range:
             raise PositionError(
@@ -193,29 +204,26 @@ def _extended(assignment: tuple, var: int, value: bool) -> tuple:
     return tuple(values)
 
 
-def _candidate_vars(p: Position) -> list:
-    a = p.assignment
-    if p.config.locality is Locality.LOCAL:
-        return [a.index(None)] if None in a else []
-    return [i for i, v in enumerate(a) if v is None]
-
-
-def _candidate_values(p: Position) -> tuple:
-    if p.config.choice is BooleanChoice.BY_PLAYER:
-        return (True,) if p.mover is Player.P1 else (False,)
-    return (False, True)
+def candidates(config: RulesetConfig, mover: Player, values, k: int):
+    """The mover's moves as (var, value) pairs in the normative order:
+    ascending var, each with the values `config.choices` gives, false first.
+    Local play offers x_k alone, k the assigned count; anywhere play offers
+    each open variable, lazily.  A same-goal move may be blatantly false."""
+    choices = config.choices(mover)
+    if config.locality is Locality.LOCAL:
+        return [(k, c) for c in choices] if k < len(values) else []
+    return ((i, c) for i, v in enumerate(values) if v is None for c in choices)
 
 
 def legal_moves(p: Position) -> list:
     """All legal moves, ascending variable index, false before true."""
+    a = p.assignment
     same = p.config.goal is Goal.SAME
-    moves = []
-    for var in _candidate_vars(p):
-        for value in _candidate_values(p):
-            if same and blatantly_false(p.formula, _extended(p.assignment, var, value)):
-                continue
-            moves.append(Move(var, value))
-    return moves
+    return [
+        Move(var, value)
+        for var, value in candidates(p.config, p.mover, a, len(a) - a.count(None))
+        if not (same and blatantly_false(p.formula, _extended(a, var, value)))
+    ]
 
 
 def apply_move(p: Position, m: Move) -> Position:
@@ -234,15 +242,10 @@ def apply_move(p: Position, m: Move) -> Position:
             raise IllegalMoveError(
                 m, IllegalMoveError.WRONG_LOCATION, f"lowest unassigned is x{low}"
             )
-    if p.config.choice is BooleanChoice.BY_PLAYER:
-        required = p.mover is Player.P1
-        if m.value != required:
-            raise IllegalMoveError(
-                m,
-                IllegalMoveError.WRONG_VALUE,
-                f"{p.config.player_label(p.mover)} assigns only "
-                f"{'T' if required else 'F'}",
-            )
+    choices = p.config.choices(p.mover)
+    if m.value not in choices:
+        only = f"{p.config.player_label(p.mover)} assigns only {'T' if choices[0] else 'F'}"
+        raise IllegalMoveError(m, IllegalMoveError.WRONG_VALUE, only)
     extended = _extended(p.assignment, m.var, m.value)
     folded = simplify(p.formula, extended)
     if p.config.goal is Goal.SAME and folded == FALSE:

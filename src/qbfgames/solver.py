@@ -1,6 +1,7 @@
 """Exact winner determination.
 
-`solve` runs win/loss backward induction on a compiled `Circuit`.  Under
+`solve` runs win/loss backward induction on a compiled `Circuit`, taking
+its candidate moves from `engine.candidates`, the one move rule.  Under
 the anywhere rulesets it tries first the moves that send the most literal
 occurrences toward the mover's goal, a static order in the manner of the
 Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps the
@@ -23,17 +24,17 @@ no code with `solve`.
 from __future__ import annotations
 
 import sys
-from itertools import chain, product
+from itertools import chain
 from operator import itemgetter
 
 from .engine import (
-    BooleanChoice,
     Goal,
     Locality,
     Move,
     Player,
     Position,
     apply_move,
+    candidates,
     final_winner,
     legal_moves,
 )
@@ -88,13 +89,13 @@ class Outcome(Record):
         super().__init__(winner, variation, nodes)
 
 
-def _goal_orders(circuit: Circuit, same: bool, by_player: bool) -> tuple:
-    """P1's and P2's moves on the open variables that occur, in the order
-    `solve` searches them: first the move that sends the most of its
-    variable's literal occurrences toward the mover's goal, ties in the
-    normative order.  P1 under the different goal wants the formula true
-    and counts the occurrences a move satisfies; every other mover counts
-    those it falsifies.
+def _goal_orders(circuit: Circuit, config) -> tuple:
+    """P1's and P2's moves, the values `config.choices` gives them on the
+    open variables that occur, in the order `solve` searches them: first the
+    move that sends the most of its variable's literal occurrences toward
+    the mover's goal, ties in the normative order.  P1 under the different
+    goal wants the formula true and counts the occurrences a move
+    satisfies; every other mover counts those it falsifies.
 
     A move falsifies its (gate, hit=False) occurrences in `_occ[var][value]`
     and satisfies the rest.  `_occ[var][True]` holds the complement hits of
@@ -102,6 +103,7 @@ def _goal_orders(circuit: Circuit, same: bool, by_player: bool) -> tuple:
     falsifies `low` occurrences and true falsifies `high`.
     """
     values, hits = circuit.values, itemgetter(1)
+    same = config.goal is Goal.SAME
     # each move's weight for a falsifier and for a satisfier, negated so that
     # ascending sorts heaviest first; the keys go in the normative order
     falsify, satisfy = {}, {}
@@ -112,16 +114,12 @@ def _goal_orders(circuit: Circuit, same: bool, by_player: bool) -> tuple:
             falsify[var, False], falsify[var, True] = -low, -high
             satisfy[var, False], satisfy[var, True] = -high, -low
 
-    def order(weights, value=None):
+    def order(weights, mover):
         # the sort is stable, so equal weights keep the normative order
-        moves = weights if value is None else [m for m in weights if m[1] is value]
-        return sorted(moves, key=weights.__getitem__)
+        choices = config.choices(mover)
+        return sorted((m for m in weights if m[1] in choices), key=weights.__getitem__)
 
-    p1_weights = falsify if same else satisfy
-    if by_player:
-        # P1 plays true, P2 false
-        return order(p1_weights, True), order(falsify, False)
-    return order(p1_weights), order(falsify)
+    return order(falsify if same else satisfy, Player.P1), order(falsify, Player.P2)
 
 
 def solve(
@@ -160,8 +158,6 @@ def solve(
     """
     config = position.config
     n = position.n
-    local = config.locality is Locality.LOCAL
-    by_player = config.choice is BooleanChoice.BY_PLAYER
     same = config.goal is Goal.SAME
     p1, p2 = Player.P1, Player.P2
     if memo is None:
@@ -177,29 +173,21 @@ def solve(
             root_key += (1 + value) << 2 * var
     nodes = 0
 
-    def normative(mover, k):
-        """The mover's candidate moves in the normative order: ascending
-        variable, false before true; a same-goal one may be illegal."""
-        choices = (mover is p1,) if by_player else (False, True)
-        if local:
-            return product((k,) if k < n else (), choices)
-        # lazy, so a walk cut short never lists the open variables
-        return ((i, c) for i in range(n) if values[i] is None for c in choices)
-
-    if local:
-        candidates = normative
+    if config.locality is Locality.LOCAL:
+        ordered = candidates
     else:
-        p1_order, p2_order = _goal_orders(circuit, same, by_player)
+        p1_order, p2_order = _goal_orders(circuit, config)
         complete = len(occ) == n
 
-        def candidates(mover, k):
-            """The goal order, then the variables that do not occur, lazily;
-            a move may be on an assigned variable."""
+        def ordered(config, mover, values, k):
+            """`candidates` in the search's order: the goal order, which may
+            hold assigned variables, then the candidates on variables that
+            do not occur, lazily."""
             moves = p1_order if mover is p1 else p2_order
             if complete:
                 return moves
-            choices = (mover is p1,) if by_player else (False, True)
-            return chain(moves, ((i, c) for i in range(n) if i not in occ for c in choices))
+            tail = candidates(config, mover, values, k)
+            return chain(moves, ((i, c) for i, c in tail if i not in occ))
 
     def search(root, mover, k, key):
         nonlocal nodes
@@ -215,7 +203,7 @@ def solve(
         else:
             # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
-            for var, value in candidates(mover, k):
+            for var, value in ordered(config, mover, values, k):
                 if values[var] is not None:
                     continue
                 child = assign(var, value)
@@ -240,7 +228,7 @@ def solve(
         variation = []
         key = root_key
         while same or root is None:
-            for var, value in normative(mover, k):
+            for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
                 child_key = key + ((1 + value) << 2 * var)
                 if (not same or child is not False) and (
@@ -257,7 +245,7 @@ def solve(
         # so each move is the normative first: the lowest open variable.
         for var in range(n):
             if values[var] is None:
-                variation.append(Move(var, by_player and mover is p1))
+                variation.append(Move(var, config.choices(mover)[0]))
                 mover = mover.opponent
         return won, variation
 

@@ -135,6 +135,25 @@ class TestSolve:
             )
         assert usage.ru_maxrss < 120 * 1024  # KiB
 
+    @pytest.mark.parametrize("argv, text", [
+        (["solve"], f"ruleset either anywhere same\nvars {10**15}\nassigned\nx0\n"),
+        (["reduce", "snort"], f"graph {10**15}\n"),
+        (["reduce", "qbf"], f"p cnf {10**15} 0\n"),
+    ])
+    def test_size_too_large_to_hold_exits_2(self, tmp_path, argv, text):
+        # 10**15 slots are 8 PB, beyond any address space, so the first
+        # allocation fails at once without touching memory
+        path = tmp_path / "huge.in"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "qbfgames.cli", *argv, str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
     def _timed_solve(self, tmp_path, text, *flags, timeout):
         path = tmp_path / "wide.pos"
         path.write_text(text)

@@ -120,6 +120,12 @@ class TestPositionConstruction:
         with pytest.raises(PositionError):
             Position.initial(parse_formula("x0", 2), 2, EITHER_LOCAL_SAME, (None,) * 3)
 
+    @pytest.mark.parametrize("assignment", [["no", None], [1, None]])
+    def test_assignment_values_must_be_bool_or_none(self, assignment):
+        # "no" would read as true, and 1 == True
+        with pytest.raises(PositionError, match="True, False or None"):
+            Position.initial(parse_formula("x0", 2), 2, EITHER_ANYWHERE_SAME, assignment)
+
 
 class TestLegalMoves:
     def test_local_start_offers_x0_both_values(self):
@@ -157,30 +163,39 @@ class TestApplyMove:
         with pytest.raises(IllegalMoveError) as err:
             apply_move(p, Move(3, True))
         assert err.value.reason == IllegalMoveError.OCCUPIED
+        # `play` prints these texts after "illegal move: "
+        assert str(err.value) == "illegal move x3=T: occupied"
 
     def test_wrong_location(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
         with pytest.raises(IllegalMoveError) as err:
             apply_move(p, Move(3, True))
         assert err.value.reason == IllegalMoveError.WRONG_LOCATION
+        assert str(err.value) == "illegal move x3=T: wrong-location (lowest unassigned is x0)"
 
     def test_wrong_value_for_player(self):
         p = played(BY_PLAYER_ANYWHERE_SAME, (3, True))  # P2 = False to move
         with pytest.raises(IllegalMoveError) as err:
             apply_move(p, Move(1, True))
         assert err.value.reason == IllegalMoveError.WRONG_VALUE
+        assert str(err.value) == "illegal move x1=T: wrong-value (False assigns only F)"
+        with pytest.raises(IllegalMoveError) as err:
+            apply_move(played(BY_PLAYER_ANYWHERE_SAME), Move(1, False))
+        assert str(err.value) == "illegal move x1=F: wrong-value (True assigns only T)"
 
     def test_blatantly_false_result(self):
         p = played(BY_PLAYER_LOCAL_SAME, (0, True), (1, False), (2, True), (3, False))
         with pytest.raises(IllegalMoveError) as err:
             apply_move(p, Move(4, True))
         assert err.value.reason == IllegalMoveError.BLATANTLY_FALSE
+        assert str(err.value) == "illegal move x4=T: blatantly-false"
 
     def test_out_of_range(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
         with pytest.raises(IllegalMoveError) as err:
             apply_move(p, Move(7, True))
         assert err.value.reason == IllegalMoveError.OUT_OF_RANGE
+        assert str(err.value) == "illegal move x7=T: out-of-range (n=7)"
 
     def test_mover_toggles_and_state_is_new(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)

@@ -17,15 +17,18 @@ from qbfgames.engine import (
     EITHER_ANYWHERE_SAME,
     EITHER_LOCAL_DIFFERENT,
     GameTrace,
+    Goal,
+    Locality,
     Move,
     Player,
     Position,
     RulesetConfig,
+    _extended,
     parse_position,
     parse_trace,
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
-from qbfgames.formula import TRUE, parse_formula
+from qbfgames.formula import TRUE, Circuit, blatantly_false, parse_formula
 from qbfgames.generators import enumerate_graphs_up_to, random_cnf, random_positive_cnf
 from qbfgames.reductions import (
     Graph,
@@ -38,6 +41,7 @@ from qbfgames.reductions import (
 from qbfgames.solver import (
     BudgetExceededError,
     NaiveLimitError,
+    _goal_orders,
     solve,
     solve_abstract,
     solve_naive,
@@ -223,6 +227,53 @@ class TestOracleEquivalence:
         solve_naive(Position.initial(f, 4, EITHER_ANYWHERE_SAME))
         assert calls["all"] > 0
         assert calls["in_winner"] == 0
+
+
+class TestMoveRule:
+    """`engine.candidates` is the one move rule: `legal_moves` and `solve`'s
+    goal orders read it."""
+
+    def _positions(self, seed, config, count=80):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_position(rng, config, rng.randint(1, 8), rng.randint(1, 6))
+
+    @staticmethod
+    def _candidates(p, mover=None):
+        k = p.n - p.assignment.count(None)
+        return list(engine.candidates(p.config, mover or p.mover, p.assignment, k))
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
+    def test_candidates_are_the_legal_moves(self, config):
+        # the different-goal twin offers every candidate; the same goal
+        # drops those that fold the formula to false
+        twin = RulesetConfig(config.choice, config.locality, Goal.DIFFERENT)
+        for p in self._positions(61, config):
+            moves = [Move(*c) for c in self._candidates(p)]
+            q = Position.initial(p.formula, p.n, twin, p.assignment, p.mover)
+            assert moves == engine.legal_moves(q)
+            if config.goal is Goal.SAME:
+                assert [
+                    m for m in moves
+                    if not blatantly_false(p.formula, _extended(p.assignment, m.var, m.value))
+                ] == engine.legal_moves(p)
+
+    @pytest.mark.parametrize(
+        "config", [c for c in ALL_CONFIGS if c.locality is Locality.ANYWHERE],
+        ids=lambda c: c.name,
+    )
+    def test_goal_orders_permute_the_candidates(self, config):
+        # at the root, each goal order and then the candidates on variables
+        # that do not occur hold each of the mover's candidates once
+        for p in self._positions(62, config):
+            circuit = Circuit(p.formula, p.n)
+            for var, value in enumerate(p.assignment):
+                if value is not None:
+                    circuit.assign(var, value)
+            for mover, order in zip(Player, _goal_orders(circuit, config)):
+                moves = self._candidates(p, mover)
+                tail = [c for c in moves if c[0] not in circuit._occ]
+                assert sorted(order + tail) == moves
 
 
 def _random_3cnf_position(ruleset, n, seed=1):
