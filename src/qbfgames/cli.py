@@ -215,13 +215,18 @@ def cmd_reduce(args) -> int:
 
 
 def _check_verify_bounds(args):
-    """Reject counts and size bounds that would check nothing or could not
-    be sampled from."""
+    """Reject counts, size bounds and sampling options that would check
+    nothing, could not be sampled from or do not apply to the kind."""
     bounds = [("--count", args.count, 0)]
     if args.kind in ("snort", "p2c"):
         bounds.append(("--vertices", args.vertices, 0 if args.exhaustive else 1))
+        if not 0.0 <= args.edge_prob <= 1.0:
+            raise ValueError(f"--edge-prob must be in [0, 1], got {args.edge_prob}")
     else:
-        bounds += [("--vars", args.vars, 1), ("--clauses", args.clauses, 1)]
+        if args.exhaustive:
+            raise ValueError(f"--exhaustive applies to snort and p2c only, not {args.kind}")
+        bounds += [("--vars", args.vars, 1), ("--clauses", args.clauses, 1),
+                   ("--width", args.width, 1)]
     for option, value, low in bounds:
         if value < low:
             raise ValueError(f"{option} must be at least {low}, got {value}")

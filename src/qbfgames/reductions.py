@@ -311,8 +311,9 @@ class ReductionCheck(Record):
 
 def _check(game, position: Position, node_budget: int) -> ReductionCheck:
     """The source game under `solve_abstract` against the reduced position
-    under `solve`."""
-    return ReductionCheck(solve_abstract(game, node_budget), solve(position, node_budget))
+    under `solve`, which searches for its winner alone, with no line."""
+    source = solve_abstract(game, node_budget)
+    return ReductionCheck(source, solve(position, node_budget, line=False))
 
 
 def check_snort(

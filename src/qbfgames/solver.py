@@ -9,7 +9,8 @@ assignment, as a base-4 integer, to the winner and nothing else (the
 formula, ruleset, variable count and root mover are fixed within one solve,
 so the assignment fixes the mover); the principal variation is read back
 from the winners after the search in the normative move order, so it does
-not depend on the search order.  Its `nodes` counts visited
+not depend on the search order, and `line=False` skips that walk for a
+caller that reads only the winner.  Its `nodes` counts visited
 positions; under the different goal a position whose fold is already a
 constant is a leaf.  On the two by-player-local rulesets every position has
 at most one move, so `solve` walks the one forced line in at most n + 1
@@ -126,6 +127,7 @@ def solve(
     position: Position,
     node_budget: int = DEFAULT_NODE_BUDGET,
     memo: dict | None = None,
+    line: bool = True,
 ) -> Outcome:
     """Optimal-play winner by memoized backward induction.
 
@@ -149,7 +151,8 @@ def solve(
     lacks is searched then, and counted.  Once the line reaches a decided
     different-goal root every move keeps the winner, so the rest of the line
     is the lowest open variable at each turn, false unless the ruleset fixes
-    the value.
+    the value.  With `line` false the walk is skipped: the outcome's
+    variation is None and `nodes` counts the winner search alone.
 
     The memo keys on the assignment alone, as a base-4 integer with digit 0
     (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
@@ -218,7 +221,7 @@ def solve(
         memo[key] = won
         return won
 
-    def line(root, mover, k):
+    def walk(root, mover, k):
         """The winner and the principal variation.  The winner keeps the
         game along an optimal line: in the normative order the loser plays
         their first legal move, the winner their first after which the game
@@ -251,7 +254,10 @@ def solve(
 
     # `search` recurses once per move, and a line has at most n moves.
     assigned = n - position.assignment.count(None)
-    won, variation = call_deep(n, line, circuit.value, position.mover, assigned)
+    if not line:
+        won = call_deep(n, search, circuit.value, position.mover, assigned, root_key)
+        return Outcome(won, nodes=nodes)
+    won, variation = call_deep(n, walk, circuit.value, position.mover, assigned)
     return Outcome(winner=won, variation=variation, nodes=nodes)
 
 

@@ -580,8 +580,13 @@ class TestVerify:
             (("p2c", "--vertices", "0"), "--vertices"),
             (("qbf", "--vars", "0"), "--vars"),
             (("poscnf", "--clauses", "0"), "--clauses"),
+            (("p2c", "--count", "0", "--edge-prob", "5"), "--edge-prob"),
+            (("snort", "--exhaustive", "--vertices", "2", "--edge-prob", "7"), "--edge-prob"),
+            (("qbf", "--count", "0", "--width", "0"), "--width"),
+            (("qbf", "--exhaustive", "--count", "3"), "--exhaustive"),
         ],
-        ids=["count", "exhaustive-vertices", "sampled-vertices", "vars", "clauses"],
+        ids=["count", "exhaustive-vertices", "sampled-vertices", "vars", "clauses",
+             "edge-prob", "exhaustive-edge-prob", "width", "exhaustive-cnf"],
     )
     def test_bad_bound_exits_2(self, capsys, argv, option):
         code, out, err = run(capsys, "verify", *argv)

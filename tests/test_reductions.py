@@ -382,3 +382,37 @@ class TestPlayerCorrespondence:
         check = check_snort(g)
         assert check.agree
         assert check.source.winner is Player.P1
+
+
+def _snort_instance(rng):
+    graph = random_snort_graph(rng, rng.randint(1, 6))
+    return graph, snort_to_position(graph, Player.P1)
+
+
+def _p2c_instance(rng):
+    graph = random_graph(rng, rng.randint(1, 6))
+    return graph, p2c_to_position(graph)
+
+
+def _cnf_instance(draw, encode):
+    def instance(rng):
+        cnf = draw(rng, rng.randint(1, 6), rng.randint(1, 6))
+        return cnf, encode(cnf)
+    return instance
+
+
+@pytest.mark.parametrize("check, instance", [
+    (check_snort, _snort_instance),
+    (check_p2c, _p2c_instance),
+    (check_qbf_cnf, _cnf_instance(random_cnf, qbf_cnf_to_either_local_same)),
+    (check_positive_cnf, _cnf_instance(random_positive_cnf, positive_cnf_to_bpad)),
+    (toy_positive_equivalence_check, _cnf_instance(random_positive_cnf, toy_positive_to_ead)),
+], ids=["snort", "p2c", "qbf", "poscnf", "toy-poscnf"])
+def test_check_solves_the_reduced_side_for_its_winner_alone(check, instance):
+    # a check compares winners, so its reduced side walks no line
+    rng = random.Random(41)
+    for _ in range(30):
+        source, encoded = instance(rng)
+        reduced = check(source).reduced
+        assert reduced.variation is None
+        assert reduced.winner is solve(encoded).winner

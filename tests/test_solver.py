@@ -142,9 +142,21 @@ class TestSolve:
         for config in ALL_CONFIGS:
             for _ in range(10):
                 p = random_position(rng, config, 8, 10)
-                memo = {}
-                out = solve(p, memo=memo)
-                assert len(memo) == out.nodes
+                for line in (True, False):
+                    memo = {}
+                    out = solve(p, memo=memo, line=line)
+                    assert len(memo) == out.nodes
+
+    def test_winner_only_search(self):
+        # no line walked: the same winner, no variation, no more nodes
+        rng = random.Random(23)
+        for config in ALL_CONFIGS:
+            for _ in range(40):
+                p = random_position(rng, config, rng.randint(1, 8), rng.randint(1, 6))
+                full, bare = solve(p), solve(p, line=False)
+                assert bare.winner is full.winner is solve_naive(p).winner
+                assert bare.variation is None
+                assert bare.nodes <= full.nodes
 
     def test_principal_variation_replays_to_reported_winner(self):
         rng = random.Random(21)
@@ -297,10 +309,12 @@ class TestMemoProof:
         ("by-player-local-different", 30),
     ])
     def test_memo_proves_the_winner(self, ruleset, n):
+        # the winner search alone, and with the line walked after it
         p = _random_3cnf_position(ruleset, n)
-        memo = {}
-        out = solve(p, memo=memo)
-        check_memo_proof(p, memo, out.winner)
+        for line in (True, False):
+            memo = {}
+            out = solve(p, memo=memo, line=line)
+            check_memo_proof(p, memo, out.winner)
 
     @pytest.mark.parametrize("ruleset", ["either-anywhere-different", "by-player-anywhere-same",
                                          "either-local-same"])
