@@ -214,17 +214,37 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _check_verify_bounds(args):
-    """Reject counts, size bounds and sampling options that would check
-    nothing, could not be sampled from or do not apply to the kind."""
+# verify's sampling options, which default to None so that one the kind or
+# mode ignores can be told from one left out, and the defaults they take
+VERIFY_DEFAULTS = {"count": 100, "vertices": 4, "edge_prob": 0.5, "vars": 5, "clauses": 6,
+                   "width": 3}
+
+
+def _check_verify_options(args):
+    """Reject options the kind or mode would ignore, and counts, size bounds
+    and sampling options that would check nothing or could not be sampled
+    from; fill in the defaults of the options left out."""
+    graph_kind = args.kind in ("snort", "p2c")
+    if args.exhaustive:
+        if not graph_kind:
+            raise ValueError(f"--exhaustive applies to snort and p2c only, not {args.kind}")
+        used = ("vertices",)
+    else:
+        used = ("count", "vertices", "edge_prob") if graph_kind else (
+            "count", "vars", "clauses", "width")
+    for name, default in VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in used:
+            mode = " --exhaustive" if args.exhaustive else ""
+            option = "--" + name.replace("_", "-")
+            raise ValueError(f"{option} does not apply to verify {args.kind}{mode}")
     bounds = [("--count", args.count, 0)]
-    if args.kind in ("snort", "p2c"):
+    if graph_kind:
         bounds.append(("--vertices", args.vertices, 0 if args.exhaustive else 1))
         if not 0.0 <= args.edge_prob <= 1.0:
             raise ValueError(f"--edge-prob must be in [0, 1], got {args.edge_prob}")
     else:
-        if args.exhaustive:
-            raise ValueError(f"--exhaustive applies to snort and p2c only, not {args.kind}")
         bounds += [("--vars", args.vars, 1), ("--clauses", args.clauses, 1),
                    ("--width", args.width, 1)]
     for option, value, low in bounds:
@@ -258,7 +278,7 @@ def _verify_instances(args, rng):
 
 
 def cmd_verify(args) -> int:
-    _check_verify_bounds(args)
+    _check_verify_options(args)
     rng = random.Random(args.seed)
     checked = 0
     counterexample = None
@@ -408,17 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="dual-solve instances and check winner preservation")
     pv.add_argument("kind", choices=("snort", "p2c", "qbf", "poscnf", "toy-poscnf"))
-    pv.add_argument("--count", type=int, default=100, help="random instances to check")
+    # the sampling options default to None here, and to VERIFY_DEFAULTS once checked
+    pv.add_argument("--count", type=int, help="random instances to check (default 100)")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--vertices", type=int, default=4, help="graph size bound")
-    pv.add_argument("--edge-prob", type=float, default=0.5)
+    pv.add_argument("--vertices", type=int, help="graph size bound (default 4)")
+    pv.add_argument("--edge-prob", type=float, help="graph edge probability (default 0.5)")
     pv.add_argument(
         "--exhaustive", action="store_true",
         help="enumerate every graph up to --vertices instead of sampling",
     )
-    pv.add_argument("--vars", type=int, default=5, help="variable bound for CNF kinds")
-    pv.add_argument("--clauses", type=int, default=6, help="clause bound for CNF kinds")
-    pv.add_argument("--width", type=int, default=3)
+    pv.add_argument("--vars", type=int, help="variable bound for CNF kinds (default 5)")
+    pv.add_argument("--clauses", type=int, help="clause bound for CNF kinds (default 6)")
+    pv.add_argument("--width", type=int, help="clause width for CNF kinds (default 3)")
     pv.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     pv.add_argument("--json", action="store_true", help="machine-readable output")
     pv.set_defaults(func=cmd_verify)

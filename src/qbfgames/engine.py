@@ -182,10 +182,11 @@ class Position(Record):
         for value in assignment:
             if value is not None and type(value) is not bool:  # 1 == True
                 raise PositionError(f"assignment value {value!r} is not True, False or None")
-        out_of_range = [v for v in free_variables(formula) if not 0 <= v < n]
-        if out_of_range:
+        variables = free_variables(formula)
+        if variables and (min(variables) < 0 or max(variables) >= n):
+            out_of_range = min(v for v in variables if not 0 <= v < n)
             raise PositionError(
-                f"formula mentions x{min(out_of_range)} but only {n} variables declared"
+                f"formula mentions x{out_of_range} but only {n} variables declared"
             )
         k = n - assignment.count(None)
         if config.locality is Locality.LOCAL and None in assignment[:k]:

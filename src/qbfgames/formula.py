@@ -412,12 +412,13 @@ def free_variables(f: Formula) -> set:
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Literal):
-            out.add(node.var)
-        elif isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
+        kind = type(node)
+        if kind is And or kind is Or:
             stack.extend(node.children)
+        elif kind is Literal:
+            out.add(node.var)
+        elif kind is Not:
+            stack.append(node.child)
     return out
 
 

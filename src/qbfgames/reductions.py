@@ -15,9 +15,9 @@ first mover.
 
 Each check plays the source game with `solve_abstract` and the reduced
 position with `solve`.  Snort, Proper 2-Coloring and the positive CNF game
-share one board, `_Board`: a state is `(trues, falses, mover)`, two int
-bitmasks of the cells holding true (blue) and false (red) and the Player to
-move, and a move `(v, value)` writes one cell.  The CNF quantifier game is
+share one board, `_Board`: a state is `(trues, falses, p1_to_move)`, two
+int bitmasks of the cells holding true (blue) and false (red) and whether P1
+moves, and a move `(v, value)` writes one cell.  The CNF quantifier game is
 `QbfGame`, over `(k, open)` states.
 
 Every CNF instance is a `cnf.Cnf`.  A positive one is a `Cnf` that
@@ -100,32 +100,33 @@ class _Board:
     """The board the three source games share: players take turns writing
     true or false into empty cells.
 
-    A state is `(trues, falses, mover)`: bit v of `trues` (of `falses`) is
-    set when cell v holds true (false), and `mover` is the Player to move.
-    Blue is true and P1 in the graph games.  A move is `(v, value)`.  A
-    game sets `start` and defines `legal_moves`; the stuck mover loses
-    unless the game defines its own `winner`.
+    A state is `(trues, falses, p1_to_move)`: bit v of `trues` (of
+    `falses`) is set when cell v holds true (false), and `p1_to_move` is a
+    bool, so that a state hashes in C; `mover` and `winner` name the
+    Player.  Blue is true and P1 in the graph games.  A move is
+    `(v, value)`.  A game sets `start` and defines `legal_moves`; the stuck
+    mover loses unless the game defines its own `winner`.
     """
 
     def initial_state(self):
         return self.start
 
     def mover(self, state) -> Player:
-        return state[2]
+        return Player.P1 if state[2] else Player.P2
 
     def apply(self, state, move):
-        trues, falses, mover = state
+        trues, falses, p1_to_move = state
         v, value = move
         if value:
-            return (trues | 1 << v, falses, mover.opponent)
-        return (trues, falses | 1 << v, mover.opponent)
+            return (trues | 1 << v, falses, not p1_to_move)
+        return (trues, falses | 1 << v, not p1_to_move)
 
     # Uncalled (a game ends on an empty move list); perfbench's tracer still names it.
     def is_terminal(self, state) -> bool:
         return not self.legal_moves(state)
 
     def winner(self, state) -> Player:
-        return state[2].opponent
+        return Player.P2 if state[2] else Player.P1
 
 
 def _neighbour_masks(graph: Graph) -> list:
@@ -146,11 +147,10 @@ class SnortGame(_Board):
         self.neighbours = _neighbour_masks(graph)
         blue = sum(1 << v for v, value in enumerate(graph.paint) if value)
         red = sum(1 << v for v, value in enumerate(graph.paint) if value is False)
-        self.start = (blue, red, first_player)
+        self.start = (blue, red, first_player is Player.P1)
 
     def legal_moves(self, state) -> list:
-        trues, falses, mover = state
-        own = mover is Player.P1
+        trues, falses, own = state
         opposite = falses if own else trues
         painted = trues | falses
         return [
@@ -168,7 +168,7 @@ class ProperTwoColoringGame(_Board):
         if any(value is not None for value in graph.paint):
             raise InvalidGraphError("proper 2-coloring starts from an uncolored graph")
         self.neighbours = _neighbour_masks(graph)
-        self.start = (0, 0, Player.P1)
+        self.start = (0, 0, True)
 
     def legal_moves(self, state) -> list:
         trues, falses, _ = state
@@ -210,12 +210,11 @@ class PositiveCnfGame(_Board):
         cnf = positive_cnf(cnf)
         self.n = cnf.n
         self.clauses = [sum(1 << v for v, _ in clause) for clause in cnf.clauses]
-        self.start = (0, 0, Player.P1)
+        self.start = (0, 0, True)
 
     def legal_moves(self, state) -> list:
-        trues, falses, mover = state
+        trues, falses, value = state
         assigned = trues | falses
-        value = mover is Player.P1
         return [(v, value) for v in range(self.n) if not assigned >> v & 1]
 
     def winner(self, state) -> Player:

@@ -1,20 +1,24 @@
 """Exact winner determination.
 
 `solve` runs win/loss backward induction on a compiled `Circuit`, taking
-its candidate moves from `engine.candidates`, the one move rule.  Under
-the anywhere rulesets it tries first the moves that send the most literal
-occurrences toward the mover's goal, a static order in the manner of the
-Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps the
-assignment, as a base-4 integer, to the winner and nothing else (the
-formula, ruleset, variable count and root mover are fixed within one solve,
-so the assignment fixes the mover); the principal variation is read back
-from the winners after the search in the normative move order, so it does
-not depend on the search order, and `line=False` skips that walk for a
-caller that reads only the winner.  Its `nodes` counts visited
-positions; under the different goal a position whose fold is already a
-constant is a leaf.  On the two by-player-local rulesets every position has
-at most one move, so `solve` walks the one forced line in at most n + 1
-nodes, however long it is.  `solve_naive` is the independent oracle: plain
+its candidate moves from the one move rule in `engine`.  Under the local
+rulesets it plays x_k with the values `RulesetConfig.choices` gives each
+mover, read once per solve.  Under the anywhere rulesets it tries first the
+moves that send the most literal occurrences toward the mover's goal, a
+static order in the manner of the Jeroslow-Wang and MOMS branching rules of
+DPLL.  Its memo maps the assignment, as a base-4 integer, to the winner and
+nothing else (the formula, ruleset, variable count and root mover are fixed
+within one solve, so the assignment fixes the mover); the principal
+variation is read back from the winners after the search in the normative
+move order, so it does not depend on the search order, and `line=False`
+skips that walk for a caller that reads only the winner.  Its `nodes`
+counts visited positions.  A position whose fold is already a constant is
+a leaf: under the different goal the constant names the winner, and under
+the same goal a true fold leaves every later move legal, so the parity of
+the open variables does; the walk still steps such a same-goal line one
+move at a time.  On the two by-player-local rulesets every position has at
+most one move, so `solve` walks the one forced line in at most n + 1 nodes,
+however long it is.  `solve_naive` is the independent oracle: plain
 recursion straight over the engine rules, no memoization, no shortcuts.
 `solve_abstract` applies the same induction to any finite two-player game
 that has the five methods it calls and reports only the winner; it is a
@@ -25,7 +29,7 @@ no code with `solve`.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .engine import (
@@ -133,15 +137,19 @@ def solve(
 
     The formula is compiled once into a `Circuit`, which gives the root's
     three-valued fold after each move; a same-goal move is illegal iff it
-    turns the root false.  Under the different goal a position whose root is
-    already decided is a leaf: its winner is fixed whatever is played.
-    `nodes` counts the positions visited, such leaves included.
+    turns the root false.  A position whose root is already decided is a
+    leaf, since its winner is fixed whatever is played: under the different
+    goal the root's value names it, and under the same goal a true root
+    leaves every move legal, so each open variable is played and the mover
+    wins iff their count is odd.  `nodes` counts the positions visited, such
+    leaves included.
 
     A node stops at its mover's first winning move, so the order of the
     moves decides the work.  Under the anywhere rulesets the search tries
     them in the goal-aware order of `_goal_orders`, fixed once per solve
     over the variables that occur; those that do not occur follow in
-    ascending order.  Under the local rulesets there is one variable to play.
+    ascending order.  Under the local rulesets there is one variable to
+    play, x_k, with the values `config.choices` gives each mover, read once.
 
     The memo maps each visited position to its winner.  The principal
     variation is read back from it with the normative rule, since the winner
@@ -151,8 +159,9 @@ def solve(
     lacks is searched then, and counted.  Once the line reaches a decided
     different-goal root every move keeps the winner, so the rest of the line
     is the lowest open variable at each turn, false unless the ruleset fixes
-    the value.  With `line` false the walk is skipped: the outcome's
-    variation is None and `nodes` counts the winner search alone.
+    the value.  A true same-goal root is walked one move at a time, each
+    child a one-node leaf.  With `line` false the walk is skipped: the
+    outcome's variation is None and `nodes` counts the winner search alone.
 
     The memo keys on the assignment alone, as a base-4 integer with digit 0
     (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
@@ -162,6 +171,7 @@ def solve(
     config = position.config
     n = position.n
     same = config.goal is Goal.SAME
+    local = config.locality is Locality.LOCAL
     p1, p2 = Player.P1, Player.P2
     if memo is None:
         memo = {}
@@ -176,13 +186,15 @@ def solve(
             root_key += (1 + value) << 2 * var
     nodes = 0
 
-    if config.locality is Locality.LOCAL:
-        ordered = candidates
+    if local:
+        # The move rule, read once: as in `candidates`, the mover plays x_k,
+        # k the assigned count, with the values `choices` gives them.
+        p1_values, p2_values = config.choices(p1), config.choices(p2)
     else:
         p1_order, p2_order = _goal_orders(circuit, config)
         complete = len(occ) == n
 
-        def ordered(config, mover, values, k):
+        def ordered(mover, k):
             """`candidates` in the search's order: the goal order, which may
             hold assigned variables, then the candidates on variables that
             do not occur, lazily."""
@@ -200,13 +212,25 @@ def solve(
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
-        if root is not None and not same:
-            # Assigning more variables cannot change a decided root.
-            won = p1 if root else p2
+        if root is not None:
+            # Assigning more variables cannot change a decided root.  Under
+            # the different goal it names the winner.  Under the same goal a
+            # true root leaves every move legal, so all n - k open variables
+            # are played and the mover wins iff their count is odd; a false
+            # one, only ever the starting root, leaves the mover no move.
+            if not same:
+                won = p1 if root else p2
+            else:
+                won = mover if root and (n - k) % 2 else mover.opponent
         else:
-            # a same-goal mover with no legal move loses
+            # an open root has an open variable, x_k under local play; a
+            # same-goal mover with no legal move loses
             won = opponent = mover.opponent
-            for var, value in ordered(config, mover, values, k):
+            if local:
+                moves = zip(repeat(k), p1_values if mover is p1 else p2_values)
+            else:
+                moves = ordered(mover, k)
+            for var, value in moves:
                 if values[var] is not None:
                     continue
                 child = assign(var, value)

@@ -361,10 +361,11 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
     unassigned, 1 false, 2 true for variable i at 4^i), the original formula
     is folded under it with `substitute`, and the mover follows from parity
     against the root.  Then: a constant fold under the different goal is a
-    leaf with its fixed winner; with no legal move the winner is
-    `final_winner`; a mover who wins has a legal child whose entry says so;
-    and a mover who loses has an entry naming the opponent at every legal
-    child.  Nothing of `Circuit` is used.
+    leaf with its fixed winner; a true fold under the same goal is a leaf
+    won by the mover iff the open count is odd; with no legal move the
+    winner is `final_winner`; a mover who wins has a legal child whose entry
+    says so; and a mover who loses has an entry naming the opponent at every
+    legal child.  Nothing of `Circuit` is used.
     """
     n, config = position.n, position.config
     root_key = sum((1 + value) << 2 * var
@@ -380,6 +381,11 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
         folded = substitute(position.formula, values)
         if config.goal is Goal.DIFFERENT and type(folded) is Const:
             assert won is (Player.P1 if folded.value else Player.P2), ("leaf", key)
+            continue
+        if folded == TRUE:
+            # every move stays legal, so each open variable is played and
+            # the mover wins iff their count is odd
+            assert won is (mover if values.count(None) % 2 else mover.opponent), ("true", key)
             continue
         p = Position(folded, n, values, config, mover)
         moves = legal_moves(p)

@@ -584,15 +584,35 @@ class TestVerify:
             (("snort", "--exhaustive", "--vertices", "2", "--edge-prob", "7"), "--edge-prob"),
             (("qbf", "--count", "0", "--width", "0"), "--width"),
             (("qbf", "--exhaustive", "--count", "3"), "--exhaustive"),
+            # options the kind or mode would ignore
+            (("snort", "--exhaustive", "--vertices", "2", "--count", "0"), "--count"),
+            (("qbf", "--count", "2", "--vertices", "-5", "--edge-prob", "0.3"), "--vertices"),
+            (("p2c", "--exhaustive", "--vertices", "2", "--edge-prob", "0.3"), "--edge-prob"),
+            (("poscnf", "--count", "2", "--edge-prob", "0.3"), "--edge-prob"),
+            (("snort", "--count", "2", "--vars", "3"), "--vars"),
+            (("p2c", "--count", "2", "--clauses", "3"), "--clauses"),
+            (("snort", "--count", "2", "--width", "2"), "--width"),
         ],
         ids=["count", "exhaustive-vertices", "sampled-vertices", "vars", "clauses",
-             "edge-prob", "exhaustive-edge-prob", "width", "exhaustive-cnf"],
+             "edge-prob", "exhaustive-edge-prob", "width", "exhaustive-cnf",
+             "exhaustive-count", "cnf-vertices", "exhaustive-edge-prob-in-range",
+             "cnf-edge-prob", "graph-vars", "graph-clauses", "graph-width"],
     )
     def test_bad_bound_exits_2(self, capsys, argv, option):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert option in err
+
+    @pytest.mark.parametrize("kind, mode, defaults", [
+        ("p2c", (), ("--count", "100", "--vertices", "4", "--edge-prob", "0.5")),
+        ("snort", ("--exhaustive",), ("--vertices", "4")),
+        ("qbf", (), ("--count", "100", "--vars", "5", "--clauses", "6", "--width", "3")),
+    ], ids=["sampled-graph", "exhaustive-graph", "cnf"])
+    def test_omitted_options_take_their_defaults(self, capsys, kind, mode, defaults):
+        omitted = run(capsys, "verify", kind, *mode, "--seed", "3", "--json")
+        assert omitted[0] == 0
+        assert run(capsys, "verify", kind, *mode, *defaults, "--seed", "3", "--json") == omitted
 
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         lying = Outcome(winner=Player.P1)

@@ -2,8 +2,11 @@
 and the generic abstract-game search."""
 
 import hashlib
+import importlib.util
+import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,7 @@ from qbfgames.engine import (
     parse_trace,
 )
 from qbfgames.fixtures import FIXTURE_NAMES, fixture_text
-from qbfgames.formula import TRUE, Circuit, blatantly_false, parse_formula
+from qbfgames.formula import TRUE, Circuit, blatantly_false, parse_formula, substitute
 from qbfgames.generators import enumerate_graphs_up_to, random_cnf, random_positive_cnf
 from qbfgames.reductions import (
     Graph,
@@ -330,16 +333,84 @@ class TestMemoProof:
                 check_memo_proof(p, flipped, winner)
 
 
+def _load_reference():
+    """perfbench's reference solver, which imports nothing from qbfgames."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAME_CONFIGS = [c for c in ALL_CONFIGS if c.goal is Goal.SAME]
+
+
+class TestTrueSameGoalLeaf:
+    """A same-goal position whose fold is true is a leaf of `solve`: every
+    move stays legal, so each open variable is played and the mover wins iff
+    their count is odd."""
+
+    @pytest.mark.parametrize("config", SAME_CONFIGS, ids=lambda c: c.name)
+    def test_leaf_agrees_with_naive(self, config):
+        # the exhaustive corpus (formulas of up to two connectives from the
+        # empty assignment), then every partial assignment of the formulas
+        # of up to one; `solve_naive` takes no shortcut
+        empty = [(None,) * 4]
+        every = list(itertools.product((None, False, True), repeat=4))
+        checked = 0
+        for formulas, assignments in ((enumerate_formulas(2, ternary=False), empty),
+                                      (enumerate_formulas(1, ternary=False), every)):
+            for f, values in itertools.product(formulas, assignments):
+                k = 4 - values.count(None)
+                if config.locality is Locality.LOCAL and None in values[:k]:
+                    continue
+                if substitute(f, values) != TRUE:
+                    continue
+                for mover in Player:
+                    p = Position.initial(f, 4, config, values, mover)
+                    out = solve(p, line=False)
+                    assert out.nodes == 1, (f, values, mover)
+                    assert out.winner is solve_naive(p).winner, (f, values, mover)
+                    checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("config", SAME_CONFIGS, ids=lambda c: c.name)
+    def test_true_formula_is_one_node(self, config):
+        # 20 open variables: the mover's opponent plays the last one
+        for mover in Player:
+            p = Position.initial(TRUE, 20, config, mover=mover)
+            out = solve(p, line=False)
+            assert (out.winner, out.nodes) == (mover.opponent, 1)
+
+    @pytest.mark.parametrize("ruleset, low, high, count", [
+        ("either-local-same", 13, 20, 12),
+        ("by-player-local-same", 13, 20, 12),
+        ("either-anywhere-same", 13, 13, 2),
+        ("by-player-anywhere-same", 13, 13, 3),
+    ])
+    def test_agrees_with_reference(self, ruleset, low, high, count):
+        # above solve_naive's 12 variables; about 0.5n to n clauses, so that
+        # the fold turns true on many lines
+        reference = _load_reference()
+        rng = random.Random(ruleset)
+        for _ in range(count):
+            n = rng.randint(low, high)
+            cnf = random_cnf(rng, n, rng.randint(n // 2, n))
+            p = Position.initial(cnf.to_formula(), n, RulesetConfig.from_name(ruleset))
+            winner, _ = reference.reference_winner(ruleset, n, cnf.clauses)
+            assert solve(p, line=False).winner is Player(winner), cnf.to_dimacs()
+
+
 # fixture name -> solve's (winner, nodes, PV) on the trace's initial position
 FIXTURE_SOLVES = {
     "either-local-different": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "either-local-same": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "either-anywhere-different": (Player.P1, 428, "x3=T x0=F x1=T x2=F x4=T x5=F x6=F"),
-    "either-anywhere-same": (Player.P1, 375, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-anywhere-same": (Player.P1, 373, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "by-player-local-different": (Player.P2, 6, "x0=T x1=F x2=T x3=F x4=T x5=F x6=T"),
     "by-player-local-same": (Player.P2, 5, "x0=T x1=F x2=T x3=F"),
     "by-player-anywhere-different": (Player.P1, 134, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
-    "by-player-anywhere-same": (Player.P1, 231, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
+    "by-player-anywhere-same": (Player.P1, 201, "x3=T x0=F x4=T x1=F x2=T x5=F x6=T"),
 }
 
 
@@ -375,7 +446,7 @@ def test_solve_outputs_are_pinned():
 def test_solve_nodes_are_pinned():
     # the node counts, which the search order decides
     rows = [(config.name, out.nodes) for config, out in _pinned_solves()]
-    assert _digest(rows) == "fb7685d6395c6682bf9643b48a95e095d693d5c2f0ba41655fb94b7bc2632d59"
+    assert _digest(rows) == "6e01b5ec2cda3c3937fe4822540b82439a8ea11851a2bf0cc723760d2523058d"
 
 
 class TestSimulation:
@@ -504,12 +575,12 @@ class TestAbstractGames:
         for game in (snort, p2c, poscnf):
             for name in ("initial_state", "mover", "apply", "is_terminal"):
                 assert getattr(type(game), name) is getattr(_Board, name)
-        # (trues, falses, mover): blue is true, red is false
-        assert snort.initial_state() == (0b100, 0b010, Player.P1)
+        # (trues, falses, p1_to_move): blue is true, red is false
+        assert snort.initial_state() == (0b100, 0b010, True)
         assert snort.legal_moves(snort.initial_state()) == []
         assert p2c.legal_moves(p2c.initial_state()) == [(0, True), (0, False), (1, True), (1, False)]
-        assert p2c.apply(p2c.initial_state(), (1, False)) == (0, 0b10, Player.P2)
-        assert poscnf.legal_moves((0b01, 0, Player.P2)) == [(1, False)]
+        assert p2c.apply(p2c.initial_state(), (1, False)) == (0, 0b10, False)
+        assert poscnf.legal_moves((0b01, 0, False)) == [(1, False)]
 
     def test_search_builds_one_move_list_per_node(self):
         # a game ends where its move list is empty, so no node asks twice
