@@ -428,18 +428,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="dual-solve instances and check winner preservation")
     pv.add_argument("kind", choices=("snort", "p2c", "qbf", "poscnf", "toy-poscnf"))
-    # the sampling options default to None here, and to VERIFY_DEFAULTS once checked
-    pv.add_argument("--count", type=int, help="random instances to check (default 100)")
+
+    def sampling(name, kind, text):
+        """A sampling option: None here, VERIFY_DEFAULTS[name] once checked."""
+        option = "--" + name.replace("_", "-")
+        pv.add_argument(option, type=kind, help=f"{text} (default {VERIFY_DEFAULTS[name]})")
+
+    sampling("count", int, "random instances to check")
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--vertices", type=int, help="graph size bound (default 4)")
-    pv.add_argument("--edge-prob", type=float, help="graph edge probability (default 0.5)")
+    sampling("vertices", int, "graph size bound")
+    sampling("edge_prob", float, "graph edge probability")
     pv.add_argument(
         "--exhaustive", action="store_true",
         help="enumerate every graph up to --vertices instead of sampling",
     )
-    pv.add_argument("--vars", type=int, help="variable bound for CNF kinds (default 5)")
-    pv.add_argument("--clauses", type=int, help="clause bound for CNF kinds (default 6)")
-    pv.add_argument("--width", type=int, help="clause width for CNF kinds (default 3)")
+    sampling("vars", int, "variable bound for CNF kinds")
+    sampling("clauses", int, "clause bound for CNF kinds")
+    sampling("width", int, "clause width for CNF kinds")
     pv.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     pv.add_argument("--json", action="store_true", help="machine-readable output")
     pv.set_defaults(func=cmd_verify)

@@ -1,35 +1,33 @@
 """Exact winner determination.
 
 `solve` runs win/loss backward induction on a compiled `Circuit`, taking
-its candidate moves from the one move rule in `engine`.  Under the local
-rulesets it plays x_k with the values `RulesetConfig.choices` gives each
-mover, read once per solve.  Under the anywhere rulesets it tries first the
-moves that send the most literal occurrences toward the mover's goal, a
-static order in the manner of the Jeroslow-Wang and MOMS branching rules of
-DPLL.  Its memo maps the assignment, as a base-4 integer, to the winner and
-nothing else (the formula, ruleset, variable count and root mover are fixed
-within one solve, so the assignment fixes the mover); the principal
-variation is read back from the winners after the search in the normative
-move order, so it does not depend on the search order, and `line=False`
-skips that walk for a caller that reads only the winner.  Its `nodes`
-counts visited positions.  A position whose fold is already a constant is
-a leaf: under the different goal the constant names the winner, and under
-the same goal a true fold leaves every later move legal, so the parity of
-the open variables does; the walk still steps such a same-goal line one
-move at a time.  On the two by-player-local rulesets every position has at
-most one move, so `solve` walks the one forced line in at most n + 1 nodes,
-however long it is.  `solve_naive` is the independent oracle: plain
-recursion straight over the engine rules, no memoization, no shortcuts.
-`solve_abstract` applies the same induction to any finite two-player game
-that has the five methods it calls and reports only the winner; it is a
-separate search on purpose, so that a reduction check's source side shares
-no code with `solve`.
+its candidate moves from `engine.candidates`, the one move rule.  Under
+the anywhere rulesets it tries first the moves that send the most literal
+occurrences toward the mover's goal, a static order in the manner of the
+Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps the
+assignment, as a base-4 integer, to the winner and nothing else (the
+formula, ruleset, variable count and root mover are fixed within one solve,
+so the assignment fixes the mover); the principal variation is read back
+from the winners after the search in the normative move order, so it does
+not depend on the search order, and `line=False` skips that walk for a
+caller that reads only the winner.  Its `nodes` counts visited positions.
+A position whose fold is already a constant is a leaf: under the different
+goal the constant names the winner, and under the same goal a true fold
+leaves every later move legal, so the parity of the open variables does;
+the walk still steps such a same-goal line one move at a time.  On the two
+by-player-local rulesets every position has at most one move, so `solve`
+walks the one forced line in at most n + 1 nodes, however long it is.
+`solve_naive` is the independent oracle: plain recursion straight over the
+engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
+same induction to any finite two-player game that has the five methods it
+calls and reports only the winner; it is a separate search on purpose, so
+that a reduction check's source side shares no code with `solve`.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .engine import (
@@ -148,8 +146,7 @@ def solve(
     moves decides the work.  Under the anywhere rulesets the search tries
     them in the goal-aware order of `_goal_orders`, fixed once per solve
     over the variables that occur; those that do not occur follow in
-    ascending order.  Under the local rulesets there is one variable to
-    play, x_k, with the values `config.choices` gives each mover, read once.
+    ascending order.  Under the local rulesets there is one variable to play.
 
     The memo maps each visited position to its winner.  The principal
     variation is read back from it with the normative rule, since the winner
@@ -171,7 +168,6 @@ def solve(
     config = position.config
     n = position.n
     same = config.goal is Goal.SAME
-    local = config.locality is Locality.LOCAL
     p1, p2 = Player.P1, Player.P2
     if memo is None:
         memo = {}
@@ -186,15 +182,13 @@ def solve(
             root_key += (1 + value) << 2 * var
     nodes = 0
 
-    if local:
-        # The move rule, read once: as in `candidates`, the mover plays x_k,
-        # k the assigned count, with the values `choices` gives them.
-        p1_values, p2_values = config.choices(p1), config.choices(p2)
+    if config.locality is Locality.LOCAL:
+        ordered = candidates
     else:
         p1_order, p2_order = _goal_orders(circuit, config)
         complete = len(occ) == n
 
-        def ordered(mover, k):
+        def ordered(config, mover, values, k):
             """`candidates` in the search's order: the goal order, which may
             hold assigned variables, then the candidates on variables that
             do not occur, lazily."""
@@ -223,14 +217,9 @@ def solve(
             else:
                 won = mover if root and (n - k) % 2 else mover.opponent
         else:
-            # an open root has an open variable, x_k under local play; a
-            # same-goal mover with no legal move loses
+            # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
-            if local:
-                moves = zip(repeat(k), p1_values if mover is p1 else p2_values)
-            else:
-                moves = ordered(mover, k)
-            for var, value in moves:
+            for var, value in ordered(config, mover, values, k):
                 if values[var] is not None:
                     continue
                 child = assign(var, value)

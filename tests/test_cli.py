@@ -614,6 +614,16 @@ class TestVerify:
         assert omitted[0] == 0
         assert run(capsys, "verify", kind, *mode, *defaults, "--seed", "3", "--json") == omitted
 
+    def test_help_reads_each_default_from_verify_defaults(self, capsys, monkeypatch):
+        defaults = {name: 900 + i for i, name in enumerate(cli.VERIFY_DEFAULTS)}
+        monkeypatch.setattr(cli, "VERIFY_DEFAULTS", defaults)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["verify", "-h"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert help_text.count("(default ") == len(defaults)
+        for value in defaults.values():
+            assert f"(default {value})" in help_text
+
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         lying = Outcome(winner=Player.P1)
         truthful = Outcome(winner=Player.P2)
