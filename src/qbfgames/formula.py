@@ -274,11 +274,12 @@ class Circuit:
     for And, true for Or) and its open children.  The gate is at its
     controlling value while the first count is non-zero, at the other value
     once both are zero, and open otherwise, which is what `substitute` folds
-    it to.  `assign` and `unassign` update the counts
-    from the variable's occurrences upward and stop at the first gate whose
-    value does not change, so they take time in the variable's occurrences,
-    not in the formula's size.  Chaff (Moskewicz et al., DAC 2001) tracks
-    clause states with counters in the same way.
+    it to.  `assign` updates the counts from the variable's occurrences
+    upward and stops at the first gate whose value does not change, so it
+    takes time in the variable's occurrences, not in the formula's size.
+    Chaff (Moskewicz et al., DAC 2001) tracks clause states with counters in
+    the same way.  A caller takes a move back by restoring a copy of
+    `counts` in place and setting the variable's `values` entry to None.
 
     Gate 0 is an And over the whole formula, so `value` is True, False or
     None exactly as `substitute(f, values)` is TRUE, FALSE or not a
@@ -375,33 +376,6 @@ class Circuit:
                     break
                 hit = not hit
         # `value`, inline: `solve` reads it after every move
-        count = counts[0]
-        return False if count >= base else None if count else True
-
-    def unassign(self, var: int):
-        """Undo `assign(var, ...)` and return the root's value."""
-        value = self.values[var]
-        if value is None:
-            raise ValueError(f"variable x{var} is not assigned")
-        self.values[var] = None
-        counts, parent, base = self.counts, self._parent, self._base
-        step = base - 1
-        for gate, hit in self._occ.get(var, ((), ()))[value]:
-            while True:
-                count = counts[gate]
-                if hit:
-                    count -= step
-                    counts[gate] = count
-                    if count >= base:
-                        break
-                else:
-                    counts[gate] = count + 1
-                    if count:
-                        break
-                gate = parent[gate]
-                if gate < 0:
-                    break
-                hit = not hit
         count = counts[0]
         return False if count >= base else None if count else True
 

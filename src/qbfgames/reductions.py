@@ -204,10 +204,11 @@ def positive_cnf(cnf: Cnf) -> Cnf:
 
 class PositiveCnfGame(_Board):
     """P1 sets any unassigned variable true, P2 sets one false; the
-    formula's final value decides the winner (true = P1).  P1 moves first."""
+    formula's final value decides the winner (true = P1).  P1 moves first.
+    `cnf` is the instance as `positive_cnf` normalises it."""
 
     def __init__(self, cnf: Cnf):
-        cnf = positive_cnf(cnf)
+        self.cnf = cnf = positive_cnf(cnf)
         self.n = cnf.n
         self.clauses = [sum(1 << v for v, _ in clause) for clause in cnf.clauses]
         self.start = (0, 0, True)
@@ -286,14 +287,17 @@ def qbf_cnf_to_either_local_same(cnf: Cnf) -> Position:
 
 def positive_cnf_to_bpad(cnf: Cnf, first_player: Player = Player.P1) -> Position:
     """Identity embedding of a positive instance into by-player-anywhere-different."""
-    return Position.initial(
-        positive_cnf(cnf).to_formula(), cnf.n, BY_PLAYER_ANYWHERE_DIFFERENT, mover=first_player
-    )
+    return _embed(positive_cnf(cnf), BY_PLAYER_ANYWHERE_DIFFERENT, first_player)
 
 
 def toy_positive_to_ead(cnf: Cnf) -> Position:
     """Identity embedding of a positive instance into either-anywhere-different."""
-    return Position.initial(positive_cnf(cnf).to_formula(), cnf.n, EITHER_ANYWHERE_DIFFERENT)
+    return _embed(positive_cnf(cnf), EITHER_ANYWHERE_DIFFERENT)
+
+
+def _embed(positive: Cnf, config, mover: Player = Player.P1) -> Position:
+    """A `positive_cnf` result as a position under `config`."""
+    return Position.initial(positive.to_formula(), positive.n, config, mover=mover)
 
 
 class ReductionCheck(Record):
@@ -374,7 +378,8 @@ def check_qbf_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> Reduction
 
 
 def check_positive_cnf(cnf: Cnf, node_budget: int = DEFAULT_NODE_BUDGET) -> ReductionCheck:
-    return _check(PositiveCnfGame(cnf), positive_cnf_to_bpad(cnf), node_budget)
+    game = PositiveCnfGame(cnf)
+    return _check(game, _embed(game.cnf, BY_PLAYER_ANYWHERE_DIFFERENT), node_budget)
 
 
 def toy_positive_equivalence_check(
@@ -388,7 +393,8 @@ def toy_positive_equivalence_check(
     the formula layer; reduced is the free (either-anywhere-different)
     formula game under `solve`.
     """
-    return _check(PositiveCnfGame(cnf), toy_positive_to_ead(cnf), node_budget)
+    game = PositiveCnfGame(cnf)
+    return _check(game, _embed(game.cnf, EITHER_ANYWHERE_DIFFERENT), node_budget)
 
 
 class GraphFormatError(Exception):

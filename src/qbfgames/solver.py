@@ -11,12 +11,14 @@ so the assignment fixes the mover); the principal variation is read back
 from the winners after the search in the normative move order, so it does
 not depend on the search order, and `line=False` skips that walk for a
 caller that reads only the winner.  Its `nodes` counts visited positions.
-A position whose fold is already a constant is a leaf: under the different
-goal the constant names the winner, and under the same goal a true fold
-leaves every later move legal, so the parity of the open variables does;
-the walk still steps such a same-goal line one move at a time.  On the two
-by-player-local rulesets every position has at most one move, so `solve`
-walks the one forced line in at most n + 1 nodes, however long it is.
+A child the memo holds is not played, and a move is taken back by
+restoring a copy of the circuit's counters.  A position whose fold is
+already a constant is a leaf: under the different goal the constant names
+the winner, and under the same goal a true fold leaves every later move
+legal, so the parity of the open variables does; the walk still steps such
+a same-goal line one move at a time.  On the two by-player-local rulesets
+every position has at most one move, so `solve` walks the one forced line
+in at most n + 1 nodes, however long it is, and copies no counters on it.
 `solve_naive` is the independent oracle: plain recursion straight over the
 engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
 same induction to any finite two-player game that has the five methods it
@@ -164,6 +166,12 @@ def solve(
     (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
     dict passed in must be empty, or ValueError is raised; `solve` fills it
     with one entry per counted node, so a caller can size it afterwards.
+    A child the memo holds is neither played nor searched; only legal
+    children are searched, so every entry is legal.  A node that may try a
+    second move copies the circuit's counters before its first, and takes
+    each move back by restoring the copy: one copy per branching level of
+    the current line.  A by-player-local node has one move and takes no
+    copy, so a forced line stays linear; the root is restored for the walk.
     """
     config = position.config
     n = position.n
@@ -173,14 +181,16 @@ def solve(
         memo = {}
     elif memo:
         raise ValueError("memo must start empty")
+    lookup = memo.get
     circuit = Circuit(position.formula, n)
-    assign, unassign, values, occ = circuit.assign, circuit.unassign, circuit.values, circuit._occ
+    assign, counts, values, occ = circuit.assign, circuit.counts, circuit.values, circuit._occ
     root_key = 0
     for var, value in enumerate(position.assignment):
         if value is not None:
             assign(var, value)
             root_key += (1 + value) << 2 * var
     nodes = 0
+    branching = config.locality is Locality.ANYWHERE or len(config.choices(p1)) > 1
 
     if config.locality is Locality.LOCAL:
         ordered = candidates
@@ -199,10 +209,8 @@ def solve(
             return chain(moves, ((i, c) for i, c in tail if i not in occ))
 
     def search(root, mover, k, key):
+        """The winner of a position the memo does not hold."""
         nonlocal nodes
-        won = memo.get(key)
-        if won is not None:
-            return won
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(node_budget)
@@ -219,16 +227,21 @@ def solve(
         else:
             # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
+            saved = counts[:] if branching else None
             for var, value in ordered(config, mover, values, k):
                 if values[var] is not None:
                     continue
-                child = assign(var, value)
-                # the `blatantly_false` rule: illegal iff the fold is false
-                wins = not (same and child is False) and (
-                    search(child, opponent, k + 1, key + ((1 + value) << 2 * var)) is mover
-                )
-                unassign(var)
-                if wins:
+                child_key = key + ((1 + value) << 2 * var)
+                child_won = lookup(child_key)
+                if child_won is None:
+                    child = assign(var, value)
+                    # the `blatantly_false` rule: illegal iff the fold is false
+                    if not (same and child is False):
+                        child_won = search(child, opponent, k + 1, child_key)
+                    if saved is not None:
+                        counts[:] = saved
+                        values[var] = None
+                if child_won is mover:
                     won = mover
                     break
         memo[key] = won
@@ -239,20 +252,26 @@ def solve(
         game along an optimal line: in the normative order the loser plays
         their first legal move, the winner their first after which the game
         is not the loser's, searching any child that the memo lacks."""
+        root_counts, root_values = counts[:], values[:]
         won = search(root, mover, k, root_key)
+        counts[:], values[:] = root_counts, root_values
         lost = won.opponent
         variation = []
         key = root_key
         while same or root is None:
+            saved = counts[:] if branching else None
             for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
                 child_key = key + ((1 + value) << 2 * var)
                 if (not same or child is not False) and (
                     mover is not won
-                    or search(child, mover.opponent, k + 1, child_key) is not lost
+                    or (lookup(child_key) or search(child, mover.opponent, k + 1, child_key))
+                    is not lost
                 ):
                     break
-                unassign(var)
+                if saved is not None:
+                    counts[:] = saved
+                    values[var] = None
             else:
                 return won, variation
             variation.append(Move(var, value))

@@ -289,18 +289,28 @@ def fold_value(f, values):
     return s.value if type(s) is Const else None
 
 
-def walk_circuit(f, n, steps):
-    """Assign `steps` in order and unwind them, checking the circuit's root
-    against the fold at every step and its counters after the unwind."""
+def walk_circuit(f, n, steps, rng):
+    """Assign `steps` in order, checking the circuit's root against the fold
+    after every move.  Then take the moves from a random step on back, as
+    `solve` does, by restoring the counts and values copied before it, and
+    assign the variables of those steps again in a fresh order with fresh
+    values, checking each move the same way."""
     circuit = Circuit(f, n)
-    compiled = list(circuit.counts)
     assert circuit.value == fold_value(f, circuit.values)
-    for var, value in steps:
+    cut = rng.randint(0, len(steps))
+    saved = None
+    for i, (var, value) in enumerate(steps):
+        if i == cut:
+            saved = list(circuit.counts), list(circuit.values)
         assert circuit.assign(var, value) == fold_value(f, circuit.values), (f, steps)
-    for var, _ in reversed(steps):
-        assert circuit.unassign(var) == fold_value(f, circuit.values), (f, steps)
-    assert circuit.values == [None] * n
-    assert circuit.counts == compiled
+    if saved is None:
+        saved = list(circuit.counts), list(circuit.values)
+    circuit.counts[:], circuit.values[:] = saved
+    assert circuit.value == fold_value(f, circuit.values), (f, steps, cut)
+    for var, _ in rng.sample(steps[cut:], len(steps) - cut):
+        assert circuit.assign(var, rng.random() < 0.5) == fold_value(f, circuit.values), (
+            f, steps, cut,
+        )
 
 
 class TestCircuit:
@@ -310,8 +320,10 @@ class TestCircuit:
         circuit = Circuit(f, 2)
         assert circuit.value is None
         assert circuit.assign(0, True) is None
+        saved = list(circuit.counts)
         assert circuit.assign(1, False) is False
-        assert circuit.unassign(1) is None
+        circuit.counts[:], circuit.values[1] = saved, None
+        assert circuit.value is None
         assert circuit.assign(1, True) is True
 
     def test_constants_fix_their_gates(self):
@@ -326,7 +338,7 @@ class TestCircuit:
         rng = random.Random(17)
         for f in enumerate_formulas(3):
             order = rng.sample(range(4), 4)
-            walk_circuit(f, 4, [(var, rng.random() < 0.5) for var in order])
+            walk_circuit(f, 4, [(var, rng.random() < 0.5) for var in order], rng)
 
     def test_random_formula_walks(self):
         rng = random.Random(23)
@@ -336,15 +348,13 @@ class TestCircuit:
             if rng.random() < 0.3:
                 f = Not(And((f, TRUE))) if rng.random() < 0.5 else Or((FALSE, Not(f)))
             order = rng.sample(range(n), rng.randint(0, n))
-            walk_circuit(f, n, [(var, rng.random() < 0.5) for var in order])
+            walk_circuit(f, n, [(var, rng.random() < 0.5) for var in order], rng)
 
-    def test_assign_and_unassign_refuse_the_wrong_state(self):
+    def test_assign_refuses_an_assigned_variable(self):
         circuit = Circuit(parse_formula("(or x0 x1)", 2), 2)
         circuit.assign(0, False)
         with pytest.raises(ValueError):
             circuit.assign(0, True)
-        with pytest.raises(ValueError):
-            circuit.unassign(1)
 
 
 class TestFreeVariables:

@@ -134,11 +134,16 @@ def test_fold_shares_a_residual_it_does_not_touch(case, data):
 
 @st.composite
 def walks(draw):
-    """(n, f, steps): a formula and an assign order over some of its variables."""
+    """(n, f, steps, cut, again): a formula, an assign order over some of its
+    variables, the step from which the moves are taken back, and the moves
+    played after that on the same variables in a fresh order."""
     n = draw(st.integers(1, MAX_VARS))
     f = draw(formulas(n))
     order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
-    return n, f, [(var, draw(st.booleans())) for var in order]
+    steps = [(var, draw(st.booleans())) for var in order]
+    cut = draw(st.integers(0, len(steps)))
+    again = [(var, draw(st.booleans())) for var in draw(st.permutations(order[cut:]))]
+    return n, f, steps, cut, again
 
 
 def fold_value(f, values):
@@ -148,15 +153,20 @@ def fold_value(f, values):
 
 @PROPERTY
 @given(walks())
-def test_circuit_follows_the_fold_and_unwinds(case):
-    n, f, steps = case
+def test_circuit_follows_the_fold_after_a_restore(case):
+    # `solve` takes moves back by restoring the counts and values it copied
+    n, f, steps, cut, again = case
     circuit = Circuit(f, n)
-    compiled = list(circuit.counts)
-    for var, value in steps:
+    for i, (var, value) in enumerate(steps):
+        if i == cut:
+            saved = list(circuit.counts), list(circuit.values)
         assert circuit.assign(var, value) == fold_value(f, circuit.values)
-    for var, _ in reversed(steps):
-        assert circuit.unassign(var) == fold_value(f, circuit.values)
-    assert circuit.counts == compiled
+    if cut == len(steps):
+        saved = list(circuit.counts), list(circuit.values)
+    circuit.counts[:], circuit.values[:] = saved
+    assert circuit.value == fold_value(f, circuit.values)
+    for var, value in again:
+        assert circuit.assign(var, value) == fold_value(f, circuit.values)
 
 
 @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -490,7 +491,15 @@ class TestSimulation:
         n = 2000
         limit = sys.getrecursionlimit()
         p = parse_position(forced_line_position_text(ruleset, n))
-        out = solve(p)
+        tracemalloc.start()
+        try:
+            out = solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a forced node copies no counters: a copy of the circuit's 4,000
+        # or so at each of the n levels would pass 60 MB
+        assert peak < 12 * 10**6
         assert out.winner is Player[winner]
         assert out.nodes <= n + 1
         assert len(out.variation) == n
