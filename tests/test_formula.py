@@ -298,12 +298,11 @@ def walk_circuit(f, n, steps, rng):
     circuit = Circuit(f, n)
     assert circuit.value == fold_value(f, circuit.values)
     cut = rng.randint(0, len(steps))
-    saved = None
     for i, (var, value) in enumerate(steps):
         if i == cut:
             saved = list(circuit.counts), list(circuit.values)
         assert circuit.assign(var, value) == fold_value(f, circuit.values), (f, steps)
-    if saved is None:
+    if cut == len(steps):
         saved = list(circuit.counts), list(circuit.values)
     circuit.counts[:], circuit.values[:] = saved
     assert circuit.value == fold_value(f, circuit.values), (f, steps, cut)
