@@ -285,6 +285,7 @@ class Circuit:
     None exactly as `substitute(f, values)` is TRUE, FALSE or not a
     constant.  `counts[g]` packs gate g's two counts as
     controlling * base + open, with `base` above any gate's open count.
+    `DecidedCircuit` also keeps which gates have a value.
     """
 
     __slots__ = ("values", "counts", "_base", "_parent", "_occ")
@@ -376,6 +377,60 @@ class Circuit:
                     break
                 hit = not hit
         # `value`, inline: `solve` reads it after every move
+        count = counts[0]
+        return False if count >= base else None if count else True
+
+
+class DecidedCircuit(Circuit):
+    """A `Circuit` that also keeps one `decided` bit per gate, in one more
+    slot of `counts`: bit g of `counts[-1]` is set iff gate g has a value.
+    `assign` sets the bit of each gate that takes a value on the path it
+    already walks, so restoring a copy of `counts` takes the bits back too.
+
+    Under an open gate every decided child sits at its non-controlling
+    value, so the decided gates and the root's value fix the fold up to
+    which variables are open.  The bits are a subclass's because setting
+    them costs every move, and only `solve`'s local search reads them.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, f: Formula, n: int):
+        super().__init__(f, n)
+        counts, base = self.counts, self._base
+        counts.append(sum(1 << g for g, count in enumerate(counts) if count >= base or not count))
+
+    @property
+    def decided(self) -> int:
+        """The mask of the gates that have a value."""
+        return self.counts[-1]
+
+    def assign(self, var: int, value: bool):
+        """`Circuit.assign`, setting the bit of each gate that takes a value."""
+        if self.values[var] is not None:
+            raise ValueError(f"variable x{var} is already assigned")
+        self.values[var] = value
+        counts, parent, base = self.counts, self._parent, self._base
+        step = base - 1
+        decided = counts[-1]
+        for gate, hit in self._occ.get(var, ((), ()))[value]:
+            while True:
+                count = counts[gate]
+                if hit:
+                    counts[gate] = count + step
+                    if count >= base:
+                        break
+                else:
+                    count -= 1
+                    counts[gate] = count
+                    if count:
+                        break
+                decided |= 1 << gate
+                gate = parent[gate]
+                if gate < 0:
+                    break
+                hit = not hit
+        counts[-1] = decided
         count = counts[0]
         return False if count >= base else None if count else True
 

@@ -186,7 +186,8 @@ class ProperTwoColoringGame(_Board):
 
 def positive_cnf(cnf: Cnf) -> Cnf:
     """The CNF as an instance of the positive CNF game: each clause's
-    variables sorted, with repeats dropped.
+    variables sorted, with repeats dropped.  An instance already in that
+    form, as `generators.random_positive_cnf` draws them, is returned as is.
 
     A negated literal raises `NegationError`, and a clause of more than 3
     distinct variables raises `PositiveCnfError`.
@@ -199,6 +200,8 @@ def positive_cnf(cnf: Cnf) -> Cnf:
     for clause in clauses:
         if len(clause) > 3:
             raise PositiveCnfError(f"clause width must be 1..3, got {len(clause)}")
+    if all([var for var, _ in given] == clause for given, clause in zip(cnf.clauses, clauses)):
+        return cnf
     return Cnf(cnf.n, (tuple((var, False) for var in clause) for clause in clauses))
 
 

@@ -4,21 +4,28 @@
 its candidate moves from `engine.candidates`, the one move rule.  Under
 the anywhere rulesets it tries first the moves that send the most literal
 occurrences toward the mover's goal, a static order in the manner of the
-Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps the
-assignment, as a base-4 integer, to the winner and nothing else (the
-formula, ruleset, variable count and root mover are fixed within one solve,
-so the assignment fixes the mover); the principal variation is read back
-from the winners after the search in the normative move order, so it does
-not depend on the search order, and `line=False` skips that walk for a
-caller that reads only the winner.  Its `nodes` counts visited positions.
-A child the memo holds is not played, and a move is taken back by
-restoring a copy of the circuit's counters.  A position whose fold is
-already a constant is a leaf: under the different goal the constant names
+Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps a key of
+the position to the winner and nothing else (the formula, ruleset,
+variable count and root mover are fixed within one solve, so the key fixes
+the mover).  Under the two either-local rulesets the key is the residual:
+the move index, the root's value and the circuit's decided gates, the
+component-cache key of #SAT search (Bacchus, Dalmao and Pitassi, FOCS
+2003), so positions with the same residual share an entry.  Under the
+other rulesets it is the assignment, as a base-4 integer.  The principal
+variation is read back from the winners after the search in the normative
+move order, so it does not depend on the search order, and `line=False`
+skips that walk for a caller that reads only the winner.  Its `nodes`
+counts visited positions.  A move is taken back by restoring a copy of the
+circuit's counters.  There are three kinds of leaf.  A position whose fold
+is already a constant is one: under the different goal the constant names
 the winner, and under the same goal a true fold leaves every later move
 legal, so the parity of the open variables does; the walk still steps such
-a same-goal line one move at a time.  On the two by-player-local rulesets
-every position has at most one move, so `solve` walks the one forced line
-in at most n + 1 nodes, however long it is, and copies no counters on it.
+a same-goal line one move at a time.  Under the different goal a position
+that a clause rule gives to P2 is one: universal reduction under local
+play, one-literal threats under anywhere play (`rules.clause_rule`).  On the two
+by-player-local rulesets every position has at most one move, so `solve`
+walks the one forced line in at most n + 1 nodes, however long it is, and
+copies no counters on it.
 `solve_naive` is the independent oracle: plain recursion straight over the
 engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
 same induction to any finite two-player game that has the five methods it
@@ -43,7 +50,7 @@ from .engine import (
     final_winner,
     legal_moves,
 )
-from .formula import Circuit, Record
+from .formula import Circuit, DecidedCircuit, Record
 
 # `solve` folds through `Circuit`; the fold's own entry points stay bound
 # here because perfbench/layers.py traces calls to them through this module.
@@ -54,6 +61,10 @@ from .formula import simplify, substitute  # noqa: F401
 # about 100 B each while n is below about 40 (a key has 2n bits), is 1 GB.
 DEFAULT_NODE_BUDGET = 10**7
 NAIVE_LIMIT = 12
+# `solve` reads the anywhere one-literal threats only from this many open
+# variables up: below it the rule's fixed cost per solve and per move
+# outweighed the nodes it saved, on random CNF and positive CNF positions.
+THREAT_MIN_OPEN = 9
 
 
 class BudgetExceededError(Exception):
@@ -141,8 +152,11 @@ def solve(
     leaf, since its winner is fixed whatever is played: under the different
     goal the root's value names it, and under the same goal a true root
     leaves every move legal, so each open variable is played and the mover
-    wins iff their count is odd.  `nodes` counts the positions visited, such
-    leaves included.
+    wins iff their count is odd.  Under the different goal a position that a
+    clause rule gives to P2 is a leaf too (see `rules.clause_rule`): under
+    either-local-different from two open variables up, and under the
+    anywhere rulesets from `THREAT_MIN_OPEN` up.  `nodes` counts the
+    positions visited, leaves of both kinds included.
 
     A node stops at its mover's first winning move, so the order of the
     moves decides the work.  Under the anywhere rulesets the search tries
@@ -155,23 +169,31 @@ def solve(
     never changes along an optimal line: the loser plays their first legal
     move in the normative order, and the winner their first legal move after
     which the memo does not give the game to the loser.  A child the memo
-    lacks is searched then, and counted.  Once the line reaches a decided
-    different-goal root every move keeps the winner, so the rest of the line
-    is the lowest open variable at each turn, false unless the ruleset fixes
-    the value.  A true same-goal root is walked one move at a time, each
-    child a one-node leaf.  With `line` false the walk is skipped: the
-    outcome's variation is None and `nodes` counts the winner search alone.
+    lacks is searched then, and counted, unless a clause rule gives it to P2.
+    Once the line reaches a decided different-goal root every move keeps the
+    winner, so the rest of the line is the lowest open variable at each
+    turn, false unless the ruleset fixes the value.  A true same-goal root is
+    walked one move at a time, each child a one-node leaf.  With `line`
+    false the walk is skipped: the outcome's variation is None and `nodes`
+    counts the winner search alone.
 
-    The memo keys on the assignment alone, as a base-4 integer with digit 0
+    The memo's key depends on the ruleset.  Under the two either-local
+    rulesets every variable below the move index k is assigned, so the rest
+    of the game depends on k and the residual formula alone, and the key is
+    (k, the root's value, the circuit's `decided` gates) packed into one
+    int: every gate over variables below k is decided, so no mask is needed,
+    and positions with the same residual share an entry.  Under the other
+    rulesets the key is the assignment, as a base-4 integer with digit 0
     (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
     dict passed in must be empty, or ValueError is raised; `solve` fills it
     with one entry per counted node, so a caller can size it afterwards.
-    A child the memo holds is neither played nor searched; only legal
-    children are searched, so every entry is legal.  A node that may try a
-    second move copies the circuit's counters before its first, and takes
-    each move back by restoring the copy: one copy per branching level of
-    the current line.  A by-player-local node has one move and takes no
-    copy, so a forced line stays linear; the root is restored for the walk.
+    Only legal children are searched, so every entry is legal.  A base-4
+    child the memo holds is neither played nor searched; a residual key is
+    known only once the move is played.  A node that may try a second move
+    copies the circuit's counters before its first, and takes each move
+    back by restoring the copy: one copy per branching level of the current
+    line.  A by-player-local node has one move and takes no copy, so a
+    forced line stays linear; the root is restored for the walk.
     """
     config = position.config
     n = position.n
@@ -182,7 +204,11 @@ def solve(
     elif memo:
         raise ValueError("memo must start empty")
     lookup = memo.get
-    circuit = Circuit(position.formula, n)
+    local = config.locality is Locality.LOCAL
+    branching = not local or len(config.choices(p1)) > 1
+    # either-local: the memo keys on the residual, which `DecidedCircuit` keeps
+    residual = local and branching
+    circuit = (DecidedCircuit if residual else Circuit)(position.formula, n)
     assign, counts, values, occ = circuit.assign, circuit.counts, circuit.values, circuit._occ
     root_key = 0
     for var, value in enumerate(position.assignment):
@@ -190,9 +216,25 @@ def solve(
             assign(var, value)
             root_key += (1 + value) << 2 * var
     nodes = 0
-    branching = config.locality is Locality.ANYWHERE or len(config.choices(p1)) > 1
+    assigned = n - position.assignment.count(None)
+    shift = n.bit_length()
 
-    if config.locality is Locality.LOCAL:
+    def residual_key(root, k):
+        """The key of a played position under either-local play."""
+        return (counts[-1] << shift | k) << 1 | (root is True)
+
+    if residual:
+        root_key = residual_key(circuit.value, assigned)
+    rule = None
+    # A rule is read only on a child whose root is open, which takes two
+    # open variables; the anywhere threats pay from THREAT_MIN_OPEN up.
+    if not same and branching and n - assigned >= (2 if local else THREAT_MIN_OPEN):
+        # imported here, so that only a process that reads clauses compiles them
+        from .rules import clause_rule
+
+        rule = clause_rule(circuit, position, local, assigned)
+
+    if local:
         ordered = candidates
     else:
         p1_order, p2_order = _goal_orders(circuit, config)
@@ -220,10 +262,28 @@ def solve(
             # true root leaves every move legal, so all n - k open variables
             # are played and the mover wins iff their count is odd; a false
             # one, only ever the starting root, leaves the mover no move.
+            # A clause rule's leaf comes here as a false root.
             if not same:
                 won = p1 if root else p2
             else:
                 won = mover if root and (n - k) % 2 else mover.opponent
+        elif residual:
+            # x_k under each value: the key needs the move played
+            won = opponent = mover.opponent
+            saved = counts[:]
+            for var, value in candidates(config, mover, values, k):
+                child = assign(var, value)
+                child_key = (counts[-1] << shift | k + 1) << 1 | (child is True)  # residual_key
+                child_won = lookup(child_key)
+                if child_won is None and not (same and child is False):
+                    if rule is not None and child is None and rule(var, value, opponent, k + 1):
+                        child = False
+                    child_won = search(child, opponent, k + 1, child_key)
+                counts[:] = saved
+                values[var] = None
+                if child_won is mover:
+                    won = mover
+                    break
         else:
             # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
@@ -237,6 +297,8 @@ def solve(
                     child = assign(var, value)
                     # the `blatantly_false` rule: illegal iff the fold is false
                     if not (same and child is False):
+                        if rule is not None and child is None and rule(var, value, opponent, k + 1):
+                            child = False
                         child_won = search(child, opponent, k + 1, child_key)
                     if saved is not None:
                         counts[:] = saved
@@ -251,7 +313,8 @@ def solve(
         """The winner and the principal variation.  The winner keeps the
         game along an optimal line: in the normative order the loser plays
         their first legal move, the winner their first after which the game
-        is not the loser's, searching any child that the memo lacks."""
+        is not the loser's, searching any child that the memo lacks and no
+        clause rule gives to P2."""
         root_counts, root_values = counts[:], values[:]
         won = search(root, mover, k, root_key)
         counts[:], values[:] = root_counts, root_values
@@ -262,11 +325,15 @@ def solve(
             saved = counts[:] if branching else None
             for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
-                child_key = key + ((1 + value) << 2 * var)
+                if residual:
+                    child_key = residual_key(child, k + 1)
+                else:
+                    child_key = key + ((1 + value) << 2 * var)
+                held = rule is not None and child is None and rule(var, value, mover.opponent, k + 1)
                 if (not same or child is not False) and (
                     mover is not won
-                    or (lookup(child_key) or search(child, mover.opponent, k + 1, child_key))
-                    is not lost
+                    or (p2 if held else lookup(child_key)
+                        or search(child, mover.opponent, k + 1, child_key)) is not lost
                 ):
                     break
                 if saved is not None:
@@ -285,7 +352,6 @@ def solve(
         return won, variation
 
     # `search` recurses once per move, and a line has at most n moves.
-    assigned = n - position.assignment.count(None)
     if not line:
         won = call_deep(n, search, circuit.value, position.mover, assigned, root_key)
         return Outcome(won, nodes=nodes)

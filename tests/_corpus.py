@@ -10,6 +10,7 @@ import itertools
 import random
 
 from qbfgames.engine import (
+    BooleanChoice,
     GameTrace,
     Goal,
     IllegalMoveError,
@@ -352,22 +353,39 @@ def replay_all(trace: GameTrace):
     return steps, error, winner
 
 
+def p2_threat(folded: Formula, config: RulesetConfig, mover: Player) -> bool:
+    """Whether the one-literal threats of a folded different-goal formula
+    give the game to P2 under anywhere play: a literal directly under the
+    root And is lost for P1 once it is false.  With P2 to move, one that P2
+    may falsify does it; with P1 to move, two distinct ones do, since P1
+    satisfies at most one before P2 falsifies the other.  Under by-player
+    P2 writes only false, so only positive literals count."""
+    parts = folded.children if type(folded) is And else (folded,)
+    threats = {(part.var, part.negated) for part in parts if type(part) is Literal}
+    if config.choice is BooleanChoice.BY_PLAYER:
+        threats = {threat for threat in threats if not threat[1]}
+    return len(threats) >= (1 if mover is Player.P2 else 2)
+
+
 def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
     """Check `solve(position, memo=memo)`'s memo as a proof that `winner`
     wins, by the engine's rules alone; an AssertionError names the first
-    entry that fails.
+    entry that fails.  The memo must be keyed on the assignment, as it is
+    under every ruleset but the two either-local ones.
 
     Each entry's key is decoded into its assignment (base 4: digit 0
     unassigned, 1 false, 2 true for variable i at 4^i), the original formula
     is folded under it with `substitute`, and the mover follows from parity
     against the root.  Then: a constant fold under the different goal is a
-    leaf with its fixed winner; a true fold under the same goal is a leaf
-    won by the mover iff the open count is odd; with no legal move the
-    winner is `final_winner`; a mover who wins has a legal child whose entry
-    says so; and a mover who loses has an entry naming the opponent at every
-    legal child.  Nothing of `Circuit` is used.
+    leaf with its fixed winner; under anywhere different-goal play a fold
+    that `p2_threat` gives to P2 is a leaf won by P2; a true fold under the
+    same goal is a leaf won by the mover iff the open count is odd; with no
+    legal move the winner is `final_winner`; a mover who wins has a legal
+    child whose entry says so; and a mover who loses has an entry naming
+    the opponent at every legal child.  Nothing of `Circuit` is used.
     """
     n, config = position.n, position.config
+    threats = config.goal is Goal.DIFFERENT and config.locality is Locality.ANYWHERE
     root_key = sum((1 + value) << 2 * var
                    for var, value in enumerate(position.assignment) if value is not None)
     root_open = position.assignment.count(None)
@@ -381,6 +399,9 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
         folded = substitute(position.formula, values)
         if config.goal is Goal.DIFFERENT and type(folded) is Const:
             assert won is (Player.P1 if folded.value else Player.P2), ("leaf", key)
+            continue
+        if threats and p2_threat(folded, config, mover):
+            assert won is Player.P2, ("threat", key)
             continue
         if folded == TRUE:
             # every move stays legal, so each open variable is played and

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,15 @@ from qbfgames.cli import main
 from qbfgames.cnf import Cnf
 from qbfgames.engine import Move, Player, apply_move, parse_position
 from qbfgames.formula import simplify
-from qbfgames.reductions import ReductionCheck, format_graph, parse_graph
+from qbfgames.generators import random_cnf, random_positive_cnf
+from qbfgames.reductions import (
+    ReductionCheck,
+    format_graph,
+    parse_graph,
+    positive_cnf_to_bpad,
+    qbf_cnf_to_either_local_same,
+    toy_positive_to_ead,
+)
 from qbfgames.solver import Outcome, solve
 
 from _corpus import SAMPLE_TEXT, SAMPLE_VARS, forced_line_position_text
@@ -111,6 +120,17 @@ class TestSolve:
         payload = json.loads(out)
         assert payload["winner"] == winner
         assert len(payload["pv"]) == 2000
+
+    @pytest.mark.parametrize("goal, winner, nodes", [("same", "P2", 62), ("different", "P1", 60)])
+    def test_local_play_merges_equal_residuals(self, capsys, tmp_path, goal, winner, nodes):
+        # x0..x57 do not occur, so both values of each lead to one residual:
+        # keyed on the whole assignment the search doubles at each of them
+        path = tmp_path / "tail.pos"
+        path.write_text(f"ruleset either local {goal}\nvars 60\nassigned\n(or x59 (not x58))\n")
+        code, out, _ = run(capsys, "solve", str(path), "--budget", "1000", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["winner"], payload["nodes"]) == (winner, nodes)
 
     @pytest.mark.parametrize("choice", ["either", "by-player"])
     @pytest.mark.parametrize("locality", ["local", "anywhere"])
@@ -550,22 +570,43 @@ class TestVerify:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "argv",
+        "kind, n, clauses, width, seed, budget",
         [
-            ("qbf", "--vars", "1200", "--clauses", "1"),
-            ("poscnf", "--vars", "1200", "--clauses", "1"),
-            ("toy-poscnf", "--vars", "1200", "--clauses", "1"),
+            # 1,481 variables: the source search goes 1,421 levels deep and
+            # needs 8,850 nodes, the reduced side 8,812
+            ("qbf", 1500, 24, 2, 20, 8830),
+            # 1,176 variables: the source search goes past 1,000 levels
+            # before it counts 1,100 nodes, the reduced side takes 2
+            ("poscnf", 1200, 1, 3, 6, 1100),
+            ("toy-poscnf", 1200, 1, 3, 6, 1100),
         ],
-        ids=lambda argv: argv[0],
+        ids=["qbf", "poscnf", "toy-poscnf"],
     )
-    def test_deep_source_side_exits_3(self, capsys, argv):
-        # seed 6 draws 1,176 variables, and the source search goes past
-        # 1,000 levels before it counts 1,100 nodes
-        code, out, err = run(capsys, "verify", *argv, "--count", "1", "--seed", "6",
-                             "--budget", "1100")
+    def test_deep_source_side_exits_3(self, capsys, kind, n, clauses, width, seed, budget):
+        code, out, err = run(capsys, "verify", kind, "--vars", str(n), "--clauses", str(clauses),
+                             "--width", str(width), "--count", "1", "--seed", str(seed),
+                             "--budget", str(budget))
         assert code == 3
         assert out == ""
-        assert err == "error: node budget of 1100 exceeded\n"
+        assert err == f"error: node budget of {budget} exceeded\n"
+        # the instance verify draws: the reduced side alone stays in the
+        # budget, so the source side is the one that ran out
+        draw, encode = {
+            "qbf": (random_cnf, qbf_cnf_to_either_local_same),
+            "poscnf": (random_positive_cnf, positive_cnf_to_bpad),
+            "toy-poscnf": (random_positive_cnf, toy_positive_to_ead),
+        }[kind]
+        rng = random.Random(seed)
+        cnf = draw(rng, rng.randint(1, n), rng.randint(1, clauses), width)
+        assert solve(encode(cnf), budget, line=False).nodes <= budget
+
+    def test_qbf_with_few_clauses_stays_small(self, capsys):
+        # up to 30 variables and 6 clauses: most variables occur in no
+        # clause, and the reduced side merges the residuals they leave
+        code, out, _ = run(capsys, "verify", "qbf", "--count", "200", "--vars", "30",
+                           "--clauses", "6", "--seed", "22", "--budget", "1000", "--json")
+        assert code == 0
+        assert json.loads(out)["agreements"] == 200
 
     def test_budget_past_c_int_is_accepted(self, capsys):
         # the recursion allowance is capped where the interpreter's limit is

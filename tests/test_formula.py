@@ -14,6 +14,7 @@ from qbfgames.formula import (
     And,
     Circuit,
     Const,
+    DecidedCircuit,
     FormulaSyntaxError,
     Literal,
     Not,
@@ -289,27 +290,40 @@ def fold_value(f, values):
     return s.value if type(s) is Const else None
 
 
+def decided_gates(circuit):
+    """The mask of the gates that have a value, as their counts give it."""
+    base = circuit._base
+    return sum(1 << g for g, count in enumerate(circuit.counts[:-1]) if count >= base or not count)
+
+
 def walk_circuit(f, n, steps, rng):
     """Assign `steps` in order, checking the circuit's root against the fold
     after every move.  Then take the moves from a random step on back, as
     `solve` does, by restoring the counts and values copied before it, and
     assign the variables of those steps again in a fresh order with fresh
-    values, checking each move the same way."""
-    circuit = Circuit(f, n)
-    assert circuit.value == fold_value(f, circuit.values)
+    values, checking each move the same way.  The walk is made on a
+    `Circuit` and on a `DecidedCircuit`, whose `decided` bits must also name
+    the gates that have a value."""
     cut = rng.randint(0, len(steps))
-    for i, (var, value) in enumerate(steps):
-        if i == cut:
+    again = [(var, rng.random() < 0.5) for var, _ in rng.sample(steps[cut:], len(steps) - cut)]
+    for circuit in (Circuit(f, n), DecidedCircuit(f, n)):
+
+        def check(value, *context):
+            assert value == fold_value(f, circuit.values), (f, steps, *context)
+            if type(circuit) is DecidedCircuit:
+                assert circuit.decided == decided_gates(circuit), (f, steps, *context)
+
+        check(circuit.value)
+        for i, (var, value) in enumerate(steps):
+            if i == cut:
+                saved = list(circuit.counts), list(circuit.values)
+            check(circuit.assign(var, value))
+        if cut == len(steps):
             saved = list(circuit.counts), list(circuit.values)
-        assert circuit.assign(var, value) == fold_value(f, circuit.values), (f, steps)
-    if cut == len(steps):
-        saved = list(circuit.counts), list(circuit.values)
-    circuit.counts[:], circuit.values[:] = saved
-    assert circuit.value == fold_value(f, circuit.values), (f, steps, cut)
-    for var, _ in rng.sample(steps[cut:], len(steps) - cut):
-        assert circuit.assign(var, rng.random() < 0.5) == fold_value(f, circuit.values), (
-            f, steps, cut,
-        )
+        circuit.counts[:], circuit.values[:] = saved
+        check(circuit.value, cut)
+        for var, value in again:
+            check(circuit.assign(var, value), cut)
 
 
 class TestCircuit:

@@ -310,6 +310,21 @@ class TestPositiveCnf:
         repeated = Cnf(4, (((3, False), (0, False), (3, False), (1, False)),))
         assert positive_cnf(repeated) == Cnf(4, (((0, False), (1, False), (3, False)),))
 
+    def test_normalised_instance_is_returned_as_is(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            cnf = random_positive_cnf(rng, rng.randint(1, 8), rng.randint(0, 8), rng.randint(1, 3))
+            assert positive_cnf(cnf) is cnf
+        # out of order or repeated: a new, normalised instance
+        unsorted = Cnf(3, (((2, False), (0, False)),))
+        assert positive_cnf(unsorted) == Cnf(3, (((0, False), (2, False)),))
+        # the checks still come first: a negated or over-wide clause raises
+        # even when its variables are ascending
+        with pytest.raises(NegationError):
+            positive_cnf(Cnf(3, (((0, False), (1, True)),)))
+        with pytest.raises(PositiveCnfError):
+            positive_cnf(Cnf(4, (tuple((var, False) for var in range(4)),)))
+
     def test_positive_cnf_rejects_negations(self):
         negated = Cnf(2, (((0, True),),))
         rejecting = (

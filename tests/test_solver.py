@@ -57,6 +57,8 @@ from _corpus import (
     check_memo_proof,
     enumerate_formulas,
     forced_line_position_text,
+    from_pairs,
+    random_formula,
     random_position,
     random_snort_graph,
     replay_all,
@@ -307,8 +309,6 @@ class TestMemoProof:
         ("either-anywhere-different", 13),
         ("by-player-anywhere-same", 13),
         ("by-player-anywhere-different", 16),
-        ("either-local-same", 24),
-        ("either-local-different", 24),
         ("by-player-local-same", 30),
         ("by-player-local-different", 30),
     ])
@@ -321,9 +321,10 @@ class TestMemoProof:
             check_memo_proof(p, memo, out.winner)
 
     @pytest.mark.parametrize("ruleset", ["either-anywhere-different", "by-player-anywhere-same",
-                                         "either-local-same"])
+                                         "by-player-anywhere-different"])
     def test_a_flipped_entry_fails(self, ruleset):
-        p = _random_3cnf_position(ruleset, 8)
+        # 10 variables, so that the different-goal memos hold threat leaves
+        p = _random_3cnf_position(ruleset, 10)
         memo = {}
         winner = solve(p, memo=memo).winner
         rng = random.Random(ruleset)
@@ -344,6 +345,62 @@ def _load_reference():
 
 
 SAME_CONFIGS = [c for c in ALL_CONFIGS if c.goal is Goal.SAME]
+LOCAL_CONFIGS = [c for c in ALL_CONFIGS if c.locality is Locality.LOCAL]
+
+
+class TestResidualKey:
+    """Under the either-local rulesets the memo keys on the residual, which
+    does not decode to an assignment, so other oracles check `solve` there:
+    `QbfGame`, which shares no code with `solve`, perfbench's reference,
+    which imports nothing from qbfgames, and `solve_naive`."""
+
+    def test_local_different_agrees_with_the_quantifier_game(self):
+        # about 0.5n to 2n clauses, so that each player wins some instances
+        rng = random.Random("either-local-different")
+        winners = []
+        for _ in range(60):
+            n = rng.randint(20, 40)
+            cnf = random_cnf(rng, n, rng.randint(n // 2, 2 * n))
+            p = Position.initial(cnf.to_formula(), n, EITHER_LOCAL_DIFFERENT)
+            won = solve_abstract(QbfGame(cnf)).winner
+            assert solve(p).winner is solve(p, line=False).winner is won, cnf.to_dimacs()
+            winners.append(won)
+        assert set(winners) == {Player.P1, Player.P2}
+
+    def test_local_same_agrees_with_reference(self):
+        reference = _load_reference()
+        rng = random.Random("either-local-same")
+        config = RulesetConfig.from_name("either-local-same")
+        winners = []
+        for _ in range(12):
+            n = rng.randint(20, 30)
+            cnf = random_cnf(rng, n, rng.randint(n // 2, 2 * n))
+            p = Position.initial(cnf.to_formula(), n, config)
+            won = Player(reference.reference_winner(config.name, n, cnf.clauses)[0])
+            assert solve(p, line=False).winner is won, cnf.to_dimacs()
+            winners.append(won)
+        assert set(winners) == {Player.P1, Player.P2}
+
+    def test_local_positions_agree_with_naive(self):
+        # random CNF and nested formulas, random prefixes, and the mover
+        # flipped in about 30%; the line is replayed to the winner
+        rng = random.Random(31)
+        for i in range(3200):
+            config = LOCAL_CONFIGS[i % 4]
+            n = rng.randint(1, 9)
+            if i % 8 < 4:
+                p = random_position(rng, config, n, rng.randint(1, 2 * n), rng.randint(1, 3))
+            else:
+                f = random_formula(rng, n, rng.randint(0, 12))
+                k = rng.randint(0, n)
+                p = Position.initial(f, n, config, from_pairs(n, [(v, rng.random() < 0.5)
+                                                                  for v in range(k)]))
+            if rng.random() < 0.3:
+                p = Position.initial(p.formula, n, config, p.assignment, p.mover.opponent)
+            out = solve(p)
+            assert out.winner is solve_naive(p).winner, (config.name, p)
+            _, error, winner = replay_all(GameTrace(p, out.variation))
+            assert error is None and winner is out.winner, (config.name, p)
 
 
 class TestTrueSameGoalLeaf:
@@ -404,8 +461,8 @@ class TestTrueSameGoalLeaf:
 
 # fixture name -> solve's (winner, nodes, PV) on the trace's initial position
 FIXTURE_SOLVES = {
-    "either-local-different": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
-    "either-local-same": (Player.P1, 30, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-local-different": (Player.P1, 13, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
+    "either-local-same": (Player.P1, 13, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "either-anywhere-different": (Player.P1, 428, "x3=T x0=F x1=T x2=F x4=T x5=F x6=F"),
     "either-anywhere-same": (Player.P1, 373, "x0=F x1=F x2=F x3=F x4=F x5=F x6=F"),
     "by-player-local-different": (Player.P2, 6, "x0=T x1=F x2=T x3=F x4=T x5=F x6=T"),
@@ -447,7 +504,7 @@ def test_solve_outputs_are_pinned():
 def test_solve_nodes_are_pinned():
     # the node counts, which the search order decides
     rows = [(config.name, out.nodes) for config, out in _pinned_solves()]
-    assert _digest(rows) == "6e01b5ec2cda3c3937fe4822540b82439a8ea11851a2bf0cc723760d2523058d"
+    assert _digest(rows) == "da7efd6fe50e1203b81f94637d0eee82e72716b6c15d7cbb8b67032ce1135b99"
 
 
 class TestSimulation:
