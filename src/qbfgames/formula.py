@@ -285,7 +285,8 @@ class Circuit:
     None exactly as `substitute(f, values)` is TRUE, FALSE or not a
     constant.  `counts[g]` packs gate g's two counts as
     controlling * base + open, with `base` above any gate's open count.
-    `DecidedCircuit` also keeps which gates have a value.
+    One more slot trails the gates' counts: 0 here, and in a
+    `DecidedCircuit` the mask of the gates that have a value.
     """
 
     __slots__ = ("values", "counts", "_base", "_parent", "_occ")
@@ -341,7 +342,7 @@ class Circuit:
 
         add((f,), False, 0)
         self._base = base = max(open_) + 1
-        self.counts = [c * base + o for c, o in zip(ctrl, open_)]
+        self.counts = [c * base + o for c, o in zip(ctrl, open_)] + [0]
 
     @property
     def value(self):
@@ -382,7 +383,7 @@ class Circuit:
 
 
 class DecidedCircuit(Circuit):
-    """A `Circuit` that also keeps one `decided` bit per gate, in one more
+    """A `Circuit` that also keeps one decided bit per gate, in the last
     slot of `counts`: bit g of `counts[-1]` is set iff gate g has a value.
     `assign` sets the bit of each gate that takes a value on the path it
     already walks, so restoring a copy of `counts` takes the bits back too.
@@ -390,7 +391,7 @@ class DecidedCircuit(Circuit):
     Under an open gate every decided child sits at its non-controlling
     value, so the decided gates and the root's value fix the fold up to
     which variables are open.  The bits are a subclass's because setting
-    them costs every move, and only `solve`'s local search reads them.
+    them costs every move, and only `solve`'s either-local search needs them.
     """
 
     __slots__ = ()
@@ -398,12 +399,7 @@ class DecidedCircuit(Circuit):
     def __init__(self, f: Formula, n: int):
         super().__init__(f, n)
         counts, base = self.counts, self._base
-        counts.append(sum(1 << g for g, count in enumerate(counts) if count >= base or not count))
-
-    @property
-    def decided(self) -> int:
-        """The mask of the gates that have a value."""
-        return self.counts[-1]
+        counts[-1] = sum(1 << g for g, count in enumerate(counts[:-1]) if count >= base or not count)
 
     def assign(self, var: int, value: bool):
         """`Circuit.assign`, setting the bit of each gate that takes a value."""

@@ -7,11 +7,11 @@ occurrences toward the mover's goal, a static order in the manner of the
 Jeroslow-Wang and MOMS branching rules of DPLL.  Its memo maps a key of
 the position to the winner and nothing else (the formula, ruleset,
 variable count and root mover are fixed within one solve, so the key fixes
-the mover).  Under the two either-local rulesets the key is the residual:
-the move index, the root's value and the circuit's decided gates, the
+the mover).  Under the local rulesets the key is the residual: the move
+index, the root's value and the circuit's decided gates, the
 component-cache key of #SAT search (Bacchus, Dalmao and Pitassi, FOCS
 2003), so positions with the same residual share an entry.  Under the
-other rulesets it is the assignment, as a base-4 integer.  The principal
+anywhere rulesets it is the assignment, as a base-4 integer.  The principal
 variation is read back from the winners after the search in the normative
 move order, so it does not depend on the search order, and `line=False`
 skips that walk for a caller that reads only the winner.  Its `nodes`
@@ -24,8 +24,8 @@ a same-goal line one move at a time.  Under the different goal a position
 that a clause rule gives to P2 is one: universal reduction under local
 play, one-literal threats under anywhere play (`rules.clause_rule`).  On the two
 by-player-local rulesets every position has at most one move, so `solve`
-walks the one forced line in at most n + 1 nodes, however long it is, and
-copies no counters on it.
+walks the one forced line in at most n + 1 nodes, however long it is,
+copies no counters on it and keys each node on its move index alone.
 `solve_naive` is the independent oracle: plain recursion straight over the
 engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
 same induction to any finite two-player game that has the five methods it
@@ -57,8 +57,9 @@ from .formula import Circuit, DecidedCircuit, Record
 from .formula import simplify, substitute  # noqa: F401
 
 # The memo gains at most one entry per counted node, so the node budget also
-# bounds memo memory: 10**7 entries, an int key and a shared `Player` at
-# about 100 B each while n is below about 40 (a key has 2n bits), is 1 GB.
+# bounds memo memory: 10**7 entries of about 100 B, an int key and a shared
+# `Player`, is 1 GB while the key is small: log2 n bits on a forced line, a
+# bit per gate more under either-local play, and 2n bits under anywhere play.
 DEFAULT_NODE_BUDGET = 10**7
 NAIVE_LIMIT = 12
 # `solve` reads the anywhere one-literal threats only from this many open
@@ -177,23 +178,24 @@ def solve(
     false the walk is skipped: the outcome's variation is None and `nodes`
     counts the winner search alone.
 
-    The memo's key depends on the ruleset.  Under the two either-local
-    rulesets every variable below the move index k is assigned, so the rest
-    of the game depends on k and the residual formula alone, and the key is
-    (k, the root's value, the circuit's `decided` gates) packed into one
-    int: every gate over variables below k is decided, so no mask is needed,
-    and positions with the same residual share an entry.  Under the other
-    rulesets the key is the assignment, as a base-4 integer with digit 0
-    (unassigned), 1 (false) or 2 (true) for variable i at 4^i.  A `memo`
-    dict passed in must be empty, or ValueError is raised; `solve` fills it
-    with one entry per counted node, so a caller can size it afterwards.
-    Only legal children are searched, so every entry is legal.  A base-4
-    child the memo holds is neither played nor searched; a residual key is
-    known only once the move is played.  A node that may try a second move
-    copies the circuit's counters before its first, and takes each move
-    back by restoring the copy: one copy per branching level of the current
-    line.  A by-player-local node has one move and takes no copy, so a
-    forced line stays linear; the root is restored for the walk.
+    The memo's key depends on the locality.  Under the local rulesets every
+    variable below the move index k is assigned, so the rest of the game
+    depends on k and the residual formula alone, and the key is (k, the
+    root's value, the circuit's decided gates) packed into one int: every
+    gate over variables below k is decided, so no mask is needed, and
+    positions with the same residual share an entry.  A by-player-local
+    circuit keeps no decided gates and needs none: a forced line has one
+    position per k.  Under the anywhere rulesets the key is the assignment,
+    as a base-4 integer with digit 0 (unassigned), 1 (false) or 2 (true) for
+    variable i at 4^i.  A `memo` dict passed in must be empty, or ValueError
+    is raised; `solve` fills it with one entry per counted node, so a caller
+    can size it afterwards.  Only legal children are searched, so every
+    entry is legal.  A base-4 child the memo holds is neither played nor
+    searched; a residual key is known only once the move is played.  A node
+    that may try a second move copies the circuit's counters before its
+    first, and takes each move back by restoring the copy: one copy per
+    branching level of the current line, and none on a forced line, so that
+    it stays linear.  The root is restored for the walk.
     """
     config = position.config
     n = position.n
@@ -206,25 +208,24 @@ def solve(
     lookup = memo.get
     local = config.locality is Locality.LOCAL
     branching = not local or len(config.choices(p1)) > 1
-    # either-local: the memo keys on the residual, which `DecidedCircuit` keeps
-    residual = local and branching
-    circuit = (DecidedCircuit if residual else Circuit)(position.formula, n)
+    # either-local: the residual key reads the decided gates of `DecidedCircuit`
+    circuit = (DecidedCircuit if local and branching else Circuit)(position.formula, n)
     assign, counts, values, occ = circuit.assign, circuit.counts, circuit.values, circuit._occ
-    root_key = 0
     for var, value in enumerate(position.assignment):
         if value is not None:
             assign(var, value)
-            root_key += (1 + value) << 2 * var
     nodes = 0
     assigned = n - position.assignment.count(None)
     shift = n.bit_length()
 
     def residual_key(root, k):
-        """The key of a played position under either-local play."""
+        """The key of a played position under local play."""
         return (counts[-1] << shift | k) << 1 | (root is True)
 
-    if residual:
+    if local:
         root_key = residual_key(circuit.value, assigned)
+    else:
+        root_key = sum((1 + v) << 2 * i for i, v in enumerate(position.assignment) if v is not None)
     rule = None
     # A rule is read only on a child whose root is open, which takes two
     # open variables; the anywhere threats pay from THREAT_MIN_OPEN up.
@@ -234,9 +235,7 @@ def solve(
 
         rule = clause_rule(circuit, position, local, assigned)
 
-    if local:
-        ordered = candidates
-    else:
+    if not local:
         p1_order, p2_order = _goal_orders(circuit, config)
         complete = len(occ) == n
 
@@ -267,10 +266,10 @@ def solve(
                 won = p1 if root else p2
             else:
                 won = mover if root and (n - k) % 2 else mover.opponent
-        elif residual:
+        elif local:
             # x_k under each value: the key needs the move played
             won = opponent = mover.opponent
-            saved = counts[:]
+            saved = counts[:] if branching else None
             for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
                 child_key = (counts[-1] << shift | k + 1) << 1 | (child is True)  # residual_key
@@ -279,15 +278,16 @@ def solve(
                     if rule is not None and child is None and rule(var, value, opponent, k + 1):
                         child = False
                     child_won = search(child, opponent, k + 1, child_key)
-                counts[:] = saved
-                values[var] = None
+                if saved is not None:
+                    counts[:] = saved
+                    values[var] = None
                 if child_won is mover:
                     won = mover
                     break
         else:
             # a same-goal mover with no legal move loses
             won = opponent = mover.opponent
-            saved = counts[:] if branching else None
+            saved = counts[:]
             for var, value in ordered(config, mover, values, k):
                 if values[var] is not None:
                     continue
@@ -300,9 +300,8 @@ def solve(
                         if rule is not None and child is None and rule(var, value, opponent, k + 1):
                             child = False
                         child_won = search(child, opponent, k + 1, child_key)
-                    if saved is not None:
-                        counts[:] = saved
-                        values[var] = None
+                    counts[:] = saved
+                    values[var] = None
                 if child_won is mover:
                     won = mover
                     break
@@ -325,7 +324,7 @@ def solve(
             saved = counts[:] if branching else None
             for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
-                if residual:
+                if local:
                     child_key = residual_key(child, k + 1)
                 else:
                     child_key = key + ((1 + value) << 2 * var)

@@ -371,28 +371,59 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
     """Check `solve(position, memo=memo)`'s memo as a proof that `winner`
     wins, by the engine's rules alone; an AssertionError names the first
     entry that fails.  The memo must be keyed on the assignment, as it is
-    under every ruleset but the two either-local ones.
+    under the anywhere rulesets, or on a forced line's move index, as it is
+    under the by-player-local ones; the either-local keys do not decode.
 
-    Each entry's key is decoded into its assignment (base 4: digit 0
-    unassigned, 1 false, 2 true for variable i at 4^i), the original formula
-    is folded under it with `substitute`, and the mover follows from parity
-    against the root.  Then: a constant fold under the different goal is a
-    leaf with its fixed winner; under anywhere different-goal play a fold
-    that `p2_threat` gives to P2 is a leaf won by P2; a true fold under the
-    same goal is a leaf won by the mover iff the open count is odd; with no
-    legal move the winner is `final_winner`; a mover who wins has a legal
-    child whose entry says so; and a mover who loses has an entry naming
-    the opponent at every legal child.  Nothing of `Circuit` is used.
+    Each entry's key is decoded into its assignment and must encode back to
+    itself.  Under anywhere play the key is base 4: digit 0 unassigned, 1
+    false, 2 true for variable i at 4^i.  Under by-player-local play it is
+    k << 1 | (the fold is TRUE), and the assignment is the root's prefix
+    followed by the line's first k - prefix moves, each mover writing
+    `config.choices(mover)[0]`.  The original formula is folded under the
+    assignment with `substitute`, and the mover follows from parity against
+    the root.  Then: a constant fold under the different goal is a leaf
+    with its fixed winner; under anywhere different-goal play a fold that
+    `p2_threat` gives to P2 is a leaf won by P2; a true fold under the same
+    goal is a leaf won by the mover iff the open count is odd; with no legal
+    move the winner is `final_winner`; a mover who wins has a legal child
+    whose entry says so; and a mover who loses has an entry naming the
+    opponent at every legal child.  Nothing of `Circuit` is used.
     """
     n, config = position.n, position.config
-    threats = config.goal is Goal.DIFFERENT and config.locality is Locality.ANYWHERE
-    root_key = sum((1 + value) << 2 * var
-                   for var, value in enumerate(position.assignment) if value is not None)
+    local = config.locality is Locality.LOCAL
+    threats = config.goal is Goal.DIFFERENT and not local
     root_open = position.assignment.count(None)
-    assert memo.get(root_key) is winner, "root entry"
+    if local:
+        assert config.choice is BooleanChoice.BY_PLAYER, "either-local keys do not decode"
+        line, turn = list(position.assignment[:n - root_open]), position.mover
+        while len(line) < n:
+            line.append(config.choices(turn)[0])
+            turn = turn.opponent
+
+        def encode(values):
+            return (n - values.count(None)) << 1 | (substitute(position.formula, values) == TRUE)
+
+        def decode(key):
+            k = key >> 1
+            return tuple(line[:k]) + (None,) * (n - k)
+    else:
+
+        def encode(values):
+            return sum((1 + value) << 2 * var for var, value in enumerate(values) if value is not None)
+
+        def decode(key):
+            return tuple(None if digit == 0 else digit == 2
+                         for digit in ((key >> 2 * var) & 3 for var in range(n)))
+
+    def child_key(values, move):
+        child = list(values)
+        child[move.var] = move.value
+        return encode(tuple(child))
+
+    assert memo.get(encode(position.assignment)) is winner, "root entry"
     for key, won in memo.items():
-        values = tuple(None if digit == 0 else digit == 2
-                       for digit in ((key >> 2 * var) & 3 for var in range(n)))
+        values = decode(key)
+        assert encode(values) == key and values.count(None) <= root_open, ("key", key)
         mover = position.mover
         if (root_open - values.count(None)) % 2:
             mover = mover.opponent
@@ -413,7 +444,7 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
         if not moves:
             assert won is final_winner(p), ("finished", key)
             continue
-        children = [memo.get(key + ((1 + m.value) << 2 * m.var)) for m in moves]
+        children = [memo.get(child_key(values, m)) for m in moves]
         if won is mover:
             assert mover in children, ("no winning child", key)
         else:

@@ -302,16 +302,16 @@ def walk_circuit(f, n, steps, rng):
     `solve` does, by restoring the counts and values copied before it, and
     assign the variables of those steps again in a fresh order with fresh
     values, checking each move the same way.  The walk is made on a
-    `Circuit` and on a `DecidedCircuit`, whose `decided` bits must also name
-    the gates that have a value."""
+    `Circuit`, whose last `counts` slot must stay 0, and on a
+    `DecidedCircuit`, whose last slot must name the gates that have a value."""
     cut = rng.randint(0, len(steps))
     again = [(var, rng.random() < 0.5) for var, _ in rng.sample(steps[cut:], len(steps) - cut)]
     for circuit in (Circuit(f, n), DecidedCircuit(f, n)):
 
         def check(value, *context):
             assert value == fold_value(f, circuit.values), (f, steps, *context)
-            if type(circuit) is DecidedCircuit:
-                assert circuit.decided == decided_gates(circuit), (f, steps, *context)
+            decided = decided_gates(circuit) if type(circuit) is DecidedCircuit else 0
+            assert circuit.counts[-1] == decided, (f, steps, *context)
 
         check(circuit.value)
         for i, (var, value) in enumerate(steps):

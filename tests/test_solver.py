@@ -321,14 +321,17 @@ class TestMemoProof:
             check_memo_proof(p, memo, out.winner)
 
     @pytest.mark.parametrize("ruleset", ["either-anywhere-different", "by-player-anywhere-same",
-                                         "by-player-anywhere-different"])
+                                         "by-player-anywhere-different", "by-player-local-same",
+                                         "by-player-local-different"])
     def test_a_flipped_entry_fails(self, ruleset):
-        # 10 variables, so that the different-goal memos hold threat leaves
-        p = _random_3cnf_position(ruleset, 10)
+        # 10 variables, so that the different-goal memos hold threat leaves,
+        # and forced lines of 30, whose memos hold fewer than 20 entries and
+        # so have every entry flipped
+        p = _random_3cnf_position(ruleset, 30 if "local" in ruleset else 10)
         memo = {}
         winner = solve(p, memo=memo).winner
         rng = random.Random(ruleset)
-        for key in rng.sample(sorted(memo), 20):
+        for key in rng.sample(sorted(memo), min(20, len(memo))):
             flipped = dict(memo)
             flipped[key] = memo[key].opponent
             with pytest.raises(AssertionError):
@@ -349,10 +352,10 @@ LOCAL_CONFIGS = [c for c in ALL_CONFIGS if c.locality is Locality.LOCAL]
 
 
 class TestResidualKey:
-    """Under the either-local rulesets the memo keys on the residual, which
-    does not decode to an assignment, so other oracles check `solve` there:
-    `QbfGame`, which shares no code with `solve`, perfbench's reference,
-    which imports nothing from qbfgames, and `solve_naive`."""
+    """Under the either-local rulesets the memo's residual key holds decided
+    gates, which do not decode to an assignment, so other oracles check
+    `solve` there: `QbfGame`, which shares no code with `solve`, perfbench's
+    reference, which imports nothing from qbfgames, and `solve_naive`."""
 
     def test_local_different_agrees_with_the_quantifier_game(self):
         # about 0.5n to 2n clauses, so that each player wins some instances
@@ -548,15 +551,18 @@ class TestSimulation:
         n = 2000
         limit = sys.getrecursionlimit()
         p = parse_position(forced_line_position_text(ruleset, n))
+        memo = {}
         tracemalloc.start()
         try:
-            out = solve(p)
+            out = solve(p, memo=memo)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a forced node copies no counters: a copy of the circuit's 4,000
         # or so at each of the n levels would pass 60 MB
         assert peak < 12 * 10**6
+        # and keys on its move index: an assignment key would have 2n bits
+        assert max(key.bit_length() for key in memo) <= n.bit_length() + 1
         assert out.winner is Player[winner]
         assert out.nodes <= n + 1
         assert len(out.variation) == n
