@@ -117,11 +117,8 @@ def cmd_solve(args) -> int:
     if args.naive:
         outcome = solve_naive(position)
     else:
-        outcome = solve(position, node_budget=args.budget)
-    # formatted only when printed: a line can hold a move per variable
-    pv = None
-    if outcome.variation is not None and (args.json or args.pv):
-        pv = [str(m) for m in outcome.variation]
+        outcome = solve(position, node_budget=args.budget, line=args.pv or args.json)
+    pv = None if outcome.variation is None else [str(m) for m in outcome.variation]
     if args.json:
         payload = {
             "ruleset": position.config.name,

@@ -3,9 +3,10 @@
 A clause is an Or gate of a compiled `Circuit` directly under the root And
 whose children are literals on distinct variables.  `clause_rule` builds,
 once per solve, the rule that gives a position to P2 from the clauses that
-hold the variable just played.  `solve` imports this module only when it
-sets such a rule up, so a process that never does, such as a forced line,
-a same-goal solve or a small one, does not compile it.
+hold the variable just played; only a literal that occurs in a clause gets
+a list of its own.  `solve` imports this module only when it sets such a
+rule up, so a process that never does, such as a forced line, a same-goal
+solve, a small one or one whose root is decided, does not compile it.
 """
 
 from __future__ import annotations
@@ -96,10 +97,13 @@ def clause_rule(circuit: Circuit, position: Position, local: bool, first: int):
         return rule
 
     # at 2 var + value, the clauses whose literal on var the move falsifies
-    falsified = [[] for _ in range(2 * position.n)]
+    falsified = [()] * (2 * position.n)  # one shared () for a literal in none
     for gate, lits in clauses.items():
         for var, positive in lits:
-            falsified[2 * var + (not positive)].append(gate)
+            at = 2 * var + (not positive)
+            if not falsified[at]:
+                falsified[at] = []
+            falsified[at].append(gate)
     by_player = position.config.choice is BooleanChoice.BY_PLAYER
 
     def rule(var, value, mover, k):

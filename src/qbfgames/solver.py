@@ -19,18 +19,19 @@ counts visited positions.  A move is taken back by restoring a copy of the
 circuit's counters.  There are three kinds of leaf.  A position whose fold
 is already a constant is one: under the different goal the constant names
 the winner, and under the same goal a true fold leaves every later move
-legal, so the parity of the open variables does; the walk still steps such
-a same-goal line one move at a time.  Under the different goal a position
-that a clause rule gives to P2 is one: universal reduction under local
-play, one-literal threats under anywhere play (`rules.clause_rule`).  On the two
-by-player-local rulesets every position has at most one move, so `solve`
-walks the one forced line in at most n + 1 nodes, however long it is,
-copies no counters on it and keys each node on its move index alone.
-`solve_naive` is the independent oracle: plain recursion straight over the
-engine rules, no memoization, no shortcuts.  `solve_abstract` applies the
-same induction to any finite two-player game that has the five methods it
-calls and reports only the winner; it is a separate search on purpose, so
-that a reduction check's source side shares no code with `solve`.
+legal, so the parity of the open variables does.  Below it the variation is
+written without search, and on such a root `solve` sets nothing up.  Under
+the different goal a position that a clause rule gives to P2 is one:
+universal reduction under local play, one-literal threats under anywhere
+play (`rules.clause_rule`).  On the two by-player-local rulesets every
+position has at most one move, so `solve` walks the one forced line in at
+most n + 1 nodes, however long it is, copies no counters on it and keys
+each node on its move index alone.  `solve_naive` is the independent
+oracle: plain recursion straight over the engine rules, no memoization, no
+shortcuts.  `solve_abstract` applies the same induction to any finite
+two-player game that has the five methods it calls and reports only the
+winner; it is a separate search on purpose, so that a reduction check's
+source side shares no code with `solve`.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ def solve(
     leaf, since its winner is fixed whatever is played: under the different
     goal the root's value names it, and under the same goal a true root
     leaves every move legal, so each open variable is played and the mover
-    wins iff their count is odd.  Under the different goal a position that a
-    clause rule gives to P2 is a leaf too (see `rules.clause_rule`): under
-    either-local-different from two open variables up, and under the
-    anywhere rulesets from `THREAT_MIN_OPEN` up.  `nodes` counts the
-    positions visited, leaves of both kinds included.
+    wins iff their count is odd.  A decided root sets nothing up for the
+    search.  Under the different goal a position that a clause rule gives to
+    P2 is a leaf too (see `rules.clause_rule`): under either-local-different
+    from two open variables up, and under the anywhere rulesets from
+    `THREAT_MIN_OPEN` up.  `nodes` counts the positions visited, leaves of
+    both kinds included.
 
     A node stops at its mover's first winning move, so the order of the
     moves decides the work.  Under the anywhere rulesets the search tries
@@ -171,12 +173,11 @@ def solve(
     move in the normative order, and the winner their first legal move after
     which the memo does not give the game to the loser.  A child the memo
     lacks is searched then, and counted, unless a clause rule gives it to P2.
-    Once the line reaches a decided different-goal root every move keeps the
-    winner, so the rest of the line is the lowest open variable at each
-    turn, false unless the ruleset fixes the value.  A true same-goal root is
-    walked one move at a time, each child a one-node leaf.  With `line`
-    false the walk is skipped: the outcome's variation is None and `nodes`
-    counts the winner search alone.
+    Once the line reaches a decided root every move keeps the winner, so the
+    rest of the line is written without search: the lowest open variable at
+    each turn, false unless the ruleset fixes the value.  With `line` false
+    the walk is skipped: the outcome's variation is None and `nodes` counts
+    the winner search alone.
 
     The memo's key depends on the locality.  Under the local rulesets every
     variable below the move index k is assigned, so the rest of the game
@@ -227,27 +228,28 @@ def solve(
     else:
         root_key = sum((1 + v) << 2 * i for i, v in enumerate(position.assignment) if v is not None)
     rule = None
-    # A rule is read only on a child whose root is open, which takes two
-    # open variables; the anywhere threats pay from THREAT_MIN_OPEN up.
-    if not same and branching and n - assigned >= (2 if local else THREAT_MIN_OPEN):
-        # imported here, so that only a process that reads clauses compiles them
-        from .rules import clause_rule
+    if circuit.value is None:  # a decided root is a leaf, and reads none of this
+        # A rule is read only on a child whose root is open, which takes two
+        # open variables; the anywhere threats pay from THREAT_MIN_OPEN up.
+        if not same and branching and n - assigned >= (2 if local else THREAT_MIN_OPEN):
+            # imported here, so that only a process that reads clauses compiles them
+            from .rules import clause_rule
 
-        rule = clause_rule(circuit, position, local, assigned)
+            rule = clause_rule(circuit, position, local, assigned)
 
-    if not local:
-        p1_order, p2_order = _goal_orders(circuit, config)
-        complete = len(occ) == n
+        if not local:
+            p1_order, p2_order = _goal_orders(circuit, config)
+            complete = len(occ) == n
 
-        def ordered(config, mover, values, k):
-            """`candidates` in the search's order: the goal order, which may
-            hold assigned variables, then the candidates on variables that
-            do not occur, lazily."""
-            moves = p1_order if mover is p1 else p2_order
-            if complete:
-                return moves
-            tail = candidates(config, mover, values, k)
-            return chain(moves, ((i, c) for i, c in tail if i not in occ))
+            def ordered(config, mover, values, k):
+                """`candidates` in the search's order: the goal order, which
+                may hold assigned variables, then the candidates on variables
+                that do not occur, lazily."""
+                moves = p1_order if mover is p1 else p2_order
+                if complete:
+                    return moves
+                tail = candidates(config, mover, values, k)
+                return chain(moves, ((i, c) for i, c in tail if i not in occ))
 
     def search(root, mover, k, key):
         """The winner of a position the memo does not hold."""
@@ -309,18 +311,14 @@ def solve(
         return won
 
     def walk(root, mover, k):
-        """The winner and the principal variation.  The winner keeps the
-        game along an optimal line: in the normative order the loser plays
-        their first legal move, the winner their first after which the game
-        is not the loser's, searching any child that the memo lacks and no
-        clause rule gives to P2."""
+        """The winner, then the principal variation by the normative rule."""
         root_counts, root_values = counts[:], values[:]
         won = search(root, mover, k, root_key)
         counts[:], values[:] = root_counts, root_values
         lost = won.opponent
         variation = []
         key = root_key
-        while same or root is None:
+        while root is None:
             saved = counts[:] if branching else None
             for var, value in candidates(config, mover, values, k):
                 child = assign(var, value)
@@ -342,12 +340,13 @@ def solve(
                 return won, variation
             variation.append(Move(var, value))
             root, mover, k, key = child, mover.opponent, k + 1, child_key
-        # A decided different-goal root keeps its winner whatever is played,
-        # so each move is the normative first: the lowest open variable.
-        for var in range(n):
-            if values[var] is None:
-                variation.append(Move(var, config.choices(mover)[0]))
-                mover = mover.opponent
+        # A decided root keeps its winner whatever is played, so each move is the
+        # lowest open variable; a false same-goal root (the first) has no move.
+        if not same or root:
+            for var in range(n):
+                if values[var] is None:
+                    variation.append(Move(var, config.choices(mover)[0]))
+                    mover = mover.opponent
         return won, variation
 
     # `search` recurses once per move, and a line has at most n moves.

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -32,6 +33,10 @@ from _corpus import SAMPLE_TEXT, SAMPLE_VARS, forced_line_position_text
 SAMPLE_POSITION = (
     f"ruleset by-player local same\nvars {SAMPLE_VARS}\nassigned\n{SAMPLE_TEXT}\n"
 )
+
+
+# a million declared variables, two of them in an open formula
+WIDE_OPEN = "vars 1000000\nassigned\n(or x999999 (not x999998))\n"
 
 
 @pytest.fixture
@@ -132,28 +137,40 @@ class TestSolve:
         payload = json.loads(out)
         assert (payload["winner"], payload["nodes"]) == (winner, nodes)
 
+    def _solve_peak(self, tmp_path, text, *flags):
+        """`solve` on the position text in a child process killed after 60 s
+        of CPU time: its exit code, the last line of its stdout, its stderr
+        and its peak RSS in KiB."""
+        path, out, err = tmp_path / "wide.pos", tmp_path / "out", tmp_path / "err"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "qbfgames.cli", "solve", str(path), *flags],
+                env=dict(os.environ, PYTHONPATH=src), stdout=stdout, stderr=stderr,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (60, 60)),
+            )
+            # wait4 gives this child's own peak, where getrusage would give
+            # the largest of every child the test run has waited for
+            _, status, usage = os.wait4(child.pid, 0)
+        last = (out.read_text().splitlines() or [""])[-1]
+        return os.waitstatus_to_exitcode(status), last, err.read_text(), usage.ru_maxrss
+
     @pytest.mark.parametrize("choice", ["either", "by-player"])
     @pytest.mark.parametrize("locality", ["local", "anywhere"])
     def test_budget_bounds_memory_on_a_wide_position(self, tmp_path, choice, locality):
-        # the budget stops the search at 10 nodes, so set-up must not grow
-        # with the million variables that the file declares and never uses
-        path = tmp_path / "wide.pos"
-        path.write_text(f"ruleset {choice} {locality} same\nvars 1000000\nassigned\ntrue\n")
-        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
-        child = subprocess.Popen(
-            [sys.executable, "-m", "qbfgames.cli", "solve", str(path), "--budget", "10"],
-            env=dict(os.environ, PYTHONPATH=src),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        )
-        # wait4 gives this child's own peak, where getrusage would give the
-        # largest of every child the test run has waited for
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        with child.stderr:
-            assert (child.returncode, child.stderr.read()) == (
-                3, "error: node budget of 10 exceeded\n"
-            )
-        assert usage.ru_maxrss < 120 * 1024  # KiB
+        # set-up, the clause rules' tables included, must not grow with the
+        # million variables that the file declares and never uses; under
+        # anywhere-different P1 wins at once by writing x999999 true, and
+        # otherwise the budget stops the search at 10 nodes
+        for goal in ("same", "different"):
+            text = f"ruleset {choice} {locality} {goal}\n{WIDE_OPEN}"
+            code, last, err, peak = self._solve_peak(tmp_path, text, "--budget", "10")
+            if (goal, locality) == ("different", "anywhere"):
+                assert (code, last, err) == (0, "nodes: 2", ""), goal
+            else:
+                assert (code, err) == (3, "error: node budget of 10 exceeded\n"), goal
+            assert peak < 120 * 1024, goal  # KiB
 
     @pytest.mark.parametrize("argv, text", [
         (["solve"], f"ruleset either anywhere same\nvars {10**15}\nassigned\nx0\n"),
@@ -196,10 +213,27 @@ class TestSolve:
     @pytest.mark.parametrize("choice", ["either", "by-player"])
     @pytest.mark.parametrize("locality", ["local", "anywhere"])
     def test_budget_leaves_a_decided_wide_position_quick(self, tmp_path, choice, locality):
-        # one node, then a million-move line that the budget does not charge
-        text = f"ruleset {choice} {locality} different\nvars 1000000\nassigned\ntrue\n"
-        done = self._timed_solve(tmp_path, text, "--budget", "10", timeout=60)
-        assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "nodes: 1")
+        # a decided root is one node under either goal, with nothing set up
+        # for a search and no million-move line walked that is not printed
+        for goal in ("same", "different"):
+            text = f"ruleset {choice} {locality} {goal}\nvars 1000000\nassigned\ntrue\n"
+            code, last, err, peak = self._solve_peak(tmp_path, text, "--budget", "10")
+            assert (code, last, err) == (0, "nodes: 1", ""), goal
+            assert peak < 120 * 1024, goal  # KiB
+
+    def test_plain_solve_walks_no_line(self, capsys, tmp_path):
+        # the line searches children that the winner search did not visit,
+        # so it costs nodes, which only --pv and --json pay
+        text = f"ruleset either anywhere different\nvars {SAMPLE_VARS}\nassigned\n{SAMPLE_TEXT}\n"
+        path = tmp_path / "sample.pos"
+        path.write_text(text)
+        position = parse_position(text)
+        search, walked = solve(position, line=False).nodes, solve(position).nodes
+        assert search < walked
+        code, out, _ = run(capsys, "solve", str(path))
+        assert (code, out.splitlines()[-1]) == (0, f"nodes: {search}")
+        code, out, _ = run(capsys, "solve", str(path), "--json")
+        assert (code, json.loads(out)["nodes"]) == (0, walked)
 
     def test_pv_is_formatted_only_when_printed(self, capsys, monkeypatch, tmp_path):
         # a decided 50-move line, which neither --pv nor --json asks for

@@ -437,11 +437,17 @@ class TestTrueSameGoalLeaf:
 
     @pytest.mark.parametrize("config", SAME_CONFIGS, ids=lambda c: c.name)
     def test_true_formula_is_one_node(self, config):
-        # 20 open variables: the mover's opponent plays the last one
+        # 20 open variables: the mover's opponent plays the last one; every
+        # move keeps that winner, so the line is each mover's first value on
+        # the lowest open variable, written without searching a child
         for mover in Player:
             p = Position.initial(TRUE, 20, config, mover=mover)
             out = solve(p, line=False)
             assert (out.winner, out.nodes) == (mover.opponent, 1)
+            out = solve(p)
+            assert (out.winner, out.nodes) == (mover.opponent, 1)
+            movers = [mover, mover.opponent] * 10
+            assert out.variation == [Move(i, config.choices(m)[0]) for i, m in enumerate(movers)]
 
     @pytest.mark.parametrize("ruleset, low, high, count", [
         ("either-local-same", 13, 20, 12),
@@ -507,7 +513,7 @@ def test_solve_outputs_are_pinned():
 def test_solve_nodes_are_pinned():
     # the node counts, which the search order decides
     rows = [(config.name, out.nodes) for config, out in _pinned_solves()]
-    assert _digest(rows) == "da7efd6fe50e1203b81f94637d0eee82e72716b6c15d7cbb8b67032ce1135b99"
+    assert _digest(rows) == "d311f792d03f0db26953ee99020e8600d7a96a186f3d648a689e3ded81ca62a4"
 
 
 class TestSimulation:
