@@ -2,9 +2,9 @@
 
 Subcommands: solve, replay, reduce, verify, gen, play.
 
-Exit codes: 0 success, 2 malformed input, bad parameters or out of memory,
-3 node budget exceeded, 4 illegal move during replay, 5 verification found
-a winner-preservation disagreement.
+Exit codes: 0 success, 2 malformed input, bad parameters, out of memory or a
+declared size too large to index, 3 node budget exceeded, 4 illegal move
+during replay, 5 verification found a winner-preservation disagreement.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .engine import (
     Move,
     Player,
     Position,
-    PositionFormatError,
     RulesetConfig,
     apply_move,
     final_winner,
@@ -34,7 +33,7 @@ from .engine import (
     replay,
 )
 from .fixtures import fixture_text
-from .formula import FormulaError, is_decimal, simplify, to_text
+from .formula import is_decimal, simplify, to_text
 from .generators import (
     enumerate_graphs_up_to,
     random_cnf,
@@ -42,7 +41,6 @@ from .generators import (
     random_positive_cnf,
 )
 from .reductions import (
-    GraphFormatError,
     check_p2c,
     check_positive_cnf,
     check_qbf_cnf,
@@ -58,7 +56,6 @@ from .reductions import (
 from .solver import (
     DEFAULT_NODE_BUDGET,
     BudgetExceededError,
-    NaiveLimitError,
     solve,
     solve_naive,
 )
@@ -69,15 +66,9 @@ EXIT_BUDGET = 3
 EXIT_ILLEGAL_MOVE = 4
 EXIT_DISAGREEMENT = 5
 
-INPUT_ERRORS = (
-    PositionFormatError,
-    FormulaError,
-    GraphFormatError,
-    NaiveLimitError,
-    OSError,
-    ValueError,
-    MemoryError,  # a declared size such as `vars 10**15` fails to allocate
-)
+# Every malformed-input error in the package is a ValueError; a declared size
+# fails to allocate (`vars 10**15`) or, at 2**63 or more, is too large to index.
+INPUT_ERRORS = (OSError, ValueError, MemoryError, OverflowError)
 
 
 def _read_file(path: str) -> str:

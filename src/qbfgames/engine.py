@@ -20,7 +20,6 @@ from enum import Enum
 from .formula import (
     FALSE,
     Formula,
-    FormulaError,
     Record,
     blatantly_false,
     evaluate,
@@ -289,7 +288,7 @@ def replay(trace: GameTrace):
         yield m, p
 
 
-class PositionFormatError(Exception):
+class PositionFormatError(ValueError):
     """Malformed position or trace file."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -371,7 +370,7 @@ def _parse_header(lines):
     try:
         formula = parse_formula(" ".join(formula_parts), n)
         position = Position.initial(formula, n, config, values, mover)
-    except (ValueError, FormulaError) as e:
+    except ValueError as e:
         raise PositionFormatError(str(e)) from None
     return position, move_lines
 

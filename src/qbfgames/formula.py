@@ -37,7 +37,7 @@ MAX_DEPTH = 256
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-class FormulaError(Exception):
+class FormulaError(ValueError):
     """Base class for formula-level errors."""
 
 

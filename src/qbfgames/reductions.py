@@ -400,7 +400,7 @@ def toy_positive_equivalence_check(
     return _check(game, _embed(game.cnf, EITHER_ANYWHERE_DIFFERENT), node_budget)
 
 
-class GraphFormatError(Exception):
+class GraphFormatError(ValueError):
     """Malformed graph file."""
 
 

@@ -88,7 +88,7 @@ def call_deep(extra: int, fn, *args):
         sys.setrecursionlimit(limit)
 
 
-class NaiveLimitError(Exception):
+class NaiveLimitError(ValueError):
     """solve_naive refused an instance above its variable bound."""
 
     def __init__(self, n: int, limit: int):

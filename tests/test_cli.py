@@ -176,15 +176,23 @@ class TestSolve:
         (["solve"], f"ruleset either anywhere same\nvars {10**15}\nassigned\nx0\n"),
         (["reduce", "snort"], f"graph {10**15}\n"),
         (["reduce", "qbf"], f"p cnf {10**15} 0\n"),
+        (["solve"], f"ruleset either anywhere same\nvars {10**20}\nassigned\nx0\n"),
+        (["reduce", "snort"], f"graph {10**20}\n"),
+        (["reduce", "qbf"], f"p cnf {10**20} 1\n1 0\n"),
+        (["gen", "formula", "--vars", str(10**20)], None),
+        (["gen", "poscnf", "--vars", str(10**20)], None),
     ])
     def test_size_too_large_to_hold_exits_2(self, tmp_path, argv, text):
         # 10**15 slots are 8 PB, beyond any address space, so the first
-        # allocation fails at once without touching memory
-        path = tmp_path / "huge.in"
-        path.write_text(text)
+        # allocation fails at once without touching memory (MemoryError);
+        # 10**20 is past 2**63, too large to index (OverflowError)
+        if text is not None:
+            path = tmp_path / "huge.in"
+            path.write_text(text)
+            argv = [*argv, str(path)]
         src = os.path.dirname(os.path.dirname(qbfgames.__file__))
         done = subprocess.run(
-            [sys.executable, "-m", "qbfgames.cli", *argv, str(path)],
+            [sys.executable, "-m", "qbfgames.cli", *argv],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
             timeout=30,
         )

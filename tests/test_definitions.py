@@ -8,11 +8,19 @@ attribute of its module (`formula.Record`), or when a string names it as
 An imported name counts as used when its module names it, or when such a
 string names it in that module: perfbench's tracer patches
 `qbfgames.solver:simplify`, which `solver` imports for it alone.
+
+Every exception class of the package is a ValueError but for the two the
+CLI maps to exit codes of their own, so the CLI reads all bad input as one
+type.
 """
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import qbfgames
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qbfgames"
@@ -88,3 +96,16 @@ def test_every_import_is_used():
             if name not in used and (module, name) not in named
         ]
     assert unused == []
+
+
+def test_every_input_error_is_a_value_error():
+    submodules = pkgutil.walk_packages(qbfgames.__path__, "qbfgames.")
+    modules = ["qbfgames", *(module.name for module in submodules)]
+    defined = {
+        cls.__name__: cls
+        for name in modules
+        for cls in vars(importlib.import_module(name)).values()
+        if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == name
+    }
+    others = [name for name, cls in defined.items() if not issubclass(cls, ValueError)]
+    assert sorted(others) == ["BudgetExceededError", "IllegalMoveError"]
