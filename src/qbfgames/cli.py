@@ -20,7 +20,6 @@ from .engine import (
     GameTrace,
     Goal,
     IllegalMoveError,
-    Move,
     Player,
     Position,
     RulesetConfig,
@@ -28,6 +27,7 @@ from .engine import (
     final_winner,
     format_position,
     is_terminal,
+    move_text,
     parse_position,
     parse_trace,
     replay,
@@ -109,7 +109,9 @@ def cmd_solve(args) -> int:
         outcome = solve_naive(position)
     else:
         outcome = solve(position, node_budget=args.budget, line=args.pv or args.json)
-    pv = None if outcome.variation is None else [str(m) for m in outcome.variation]
+    pv = outcome.variation
+    for i, move in enumerate(pv or ()):  # text in place of each pair, never both held
+        pv[i] = move_text(move)
     if args.json:
         payload = {
             "ruleset": position.config.name,
@@ -163,22 +165,22 @@ def cmd_replay(args) -> int:
             memo.pop(id(p.formula), None)
             mover = p.mover.opponent
             if args.json:
-                step = {"mover": mover.name, "move": str(move), "formula": text}
+                step = {"mover": mover.name, "move": move_text(move), "formula": text}
                 write((", " if played else "") + json.dumps(step))
             else:
-                write(f"{played + 1:3}. {config.player_label(mover)} {move} -> {text}\n")
+                write(f"{played + 1:3}. {config.player_label(mover)} {move_text(move)} -> {text}\n")
             played += 1
     except IllegalMoveError as e:
         error = e
     winner = final_winner(p) if error is None and is_terminal(p) else None
     if args.json:
         illegal = None if error is None else {
-            "index": played, "move": str(error.move), "reason": error.reason,
+            "index": played, "move": move_text(error.move), "reason": error.reason,
         }
         won = None if winner is None else winner.name
         write(f'], "illegal": {json.dumps(illegal)}, "winner": {json.dumps(won)}}}\n')
     elif error is not None:
-        print(f"illegal move at step {played + 1}: {error.move} ({error.reason})",
+        print(f"illegal move at step {played + 1}: {move_text(error.move)} ({error.reason})",
               file=sys.stderr)
     elif winner is not None:
         print(_winner_line(config, winner))
@@ -335,7 +337,7 @@ def _parse_human_move(line: str):
         value = False
     else:
         return None
-    return Move(int(var_tok), value)
+    return int(var_tok), value
 
 
 def cmd_play(args) -> int:
@@ -378,7 +380,7 @@ def cmd_play(args) -> int:
         else:
             outcome = solve(position, node_budget=args.budget)
             move = outcome.variation[0]
-            print(f"solver plays {move}")
+            print(f"solver plays {move_text(move)}")
             position = apply_move(position, move)
 
 

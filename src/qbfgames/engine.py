@@ -7,6 +7,7 @@ per player), and what ends the game (different = play out all variables and
 evaluate, same = a move is illegal iff the formula folds to false under the
 extended assignment, see `blatantly_false`, and a stuck player loses).
 
+A move is a (var, value) pair, and `move_text` gives its one text form.
 Positions are immutable; `apply_move` builds each next one, its formula
 folded under the new assignment, and `replay` plays a trace's moves through
 it one step at a time.  Player P1 always moves first from an empty
@@ -114,13 +115,10 @@ BY_PLAYER_ANYWHERE_DIFFERENT = RulesetConfig(BooleanChoice.BY_PLAYER, Locality.A
 BY_PLAYER_ANYWHERE_SAME = RulesetConfig(BooleanChoice.BY_PLAYER, Locality.ANYWHERE, Goal.SAME)
 
 
-class Move(Record):
-    """Write `value` into variable `var`."""
-
-    __slots__ = ("var", "value")
-
-    def __repr__(self):
-        return f"x{self.var}={'T' if self.value else 'F'}"
+def move_text(move) -> str:
+    """The text of a (var, value) move, which writes `value` into `var`: x<var>=T|F."""
+    var, value = move
+    return f"x{var}={'T' if value else 'F'}"
 
 
 class PositionError(ValueError):
@@ -136,8 +134,8 @@ class IllegalMoveError(Exception):
     WRONG_VALUE = "wrong-value"
     BLATANTLY_FALSE = "blatantly-false"
 
-    def __init__(self, move: Move, reason: str, detail: str = ""):
-        msg = f"illegal move {move}: {reason}"
+    def __init__(self, move: tuple, reason: str, detail: str = ""):
+        msg = f"illegal move {move_text(move)}: {reason}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -216,37 +214,38 @@ def candidates(config: RulesetConfig, mover: Player, values, k: int):
 
 
 def legal_moves(p: Position) -> list:
-    """All legal moves, ascending variable index, false before true."""
+    """All legal (var, value) moves, ascending variable index, false before true."""
     a = p.assignment
     same = p.config.goal is Goal.SAME
     return [
-        Move(var, value)
-        for var, value in candidates(p.config, p.mover, a, len(a) - a.count(None))
-        if not (same and blatantly_false(p.formula, _extended(a, var, value)))
+        m
+        for m in candidates(p.config, p.mover, a, len(a) - a.count(None))
+        if not (same and blatantly_false(p.formula, _extended(a, *m)))
     ]
 
 
-def apply_move(p: Position, m: Move) -> Position:
-    """Extended position after m; raises IllegalMoveError naming the violated rule.
+def apply_move(p: Position, m: tuple) -> Position:
+    """Extended position after move m; raises IllegalMoveError naming the violated rule.
 
     Its formula is p's folded under the extended assignment, which is the
     original folded under it (the fold composes).  A same-goal move is
     illegal iff that fold is false: the `blatantly_false` rule."""
-    if not 0 <= m.var < p.n:
+    var, value = m
+    if not 0 <= var < p.n:
         raise IllegalMoveError(m, IllegalMoveError.OUT_OF_RANGE, f"n={p.n}")
-    if p.assignment[m.var] is not None:
+    if p.assignment[var] is not None:
         raise IllegalMoveError(m, IllegalMoveError.OCCUPIED)
     if p.config.locality is Locality.LOCAL:
         low = p.assignment.index(None)
-        if m.var != low:
+        if var != low:
             raise IllegalMoveError(
                 m, IllegalMoveError.WRONG_LOCATION, f"lowest unassigned is x{low}"
             )
     choices = p.config.choices(p.mover)
-    if m.value not in choices:
+    if value not in choices:
         only = f"{p.config.player_label(p.mover)} assigns only {'T' if choices[0] else 'F'}"
         raise IllegalMoveError(m, IllegalMoveError.WRONG_VALUE, only)
-    extended = _extended(p.assignment, m.var, m.value)
+    extended = _extended(p.assignment, var, value)
     folded = simplify(p.formula, extended)
     if p.config.goal is Goal.SAME and folded == FALSE:
         raise IllegalMoveError(m, IllegalMoveError.BLATANTLY_FALSE)
@@ -270,7 +269,7 @@ def final_winner(p: Position) -> Player:
 
 
 class GameTrace(Record):
-    """An initial position plus an ordered move list."""
+    """An initial position plus an ordered list of (var, value) moves."""
 
     __slots__ = ("initial", "moves")
     __hash__ = None
@@ -405,7 +404,7 @@ def parse_trace(text: str) -> GameTrace:
             raise PositionFormatError(
                 f"bad move line {line!r}, expected 'move x<i> T|F'", lineno
             )
-        moves.append(Move(int(parts[1][1:]), parts[2] == "T"))
+        moves.append((int(parts[1][1:]), parts[2] == "T"))
     return GameTrace(position, moves)
 
 

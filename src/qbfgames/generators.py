@@ -49,12 +49,8 @@ def random_graph(rng: random.Random, n: int, edge_prob: float = 0.5) -> Graph:
         raise ValueError("vertex count must be non-negative")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_prob
-    ]
+    # a generator, which `Graph` reads only once it holds the vertex count
+    edges = ((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob)
     return Graph(n, edges)
 
 

@@ -72,6 +72,9 @@ class Graph(Record):
     def __init__(self, n_vertices: int, edges, paint=None):
         if n_vertices < 0:
             raise InvalidGraphError("vertex count must be non-negative")
+        # sized by the count before any edge is read, so a count too large
+        # to hold fails at once, not after an edge list has grown
+        paint = (None,) * n_vertices if paint is None else tuple(paint)
         normalized = set()
         for i, j in edges:
             if i == j:
@@ -79,7 +82,6 @@ class Graph(Record):
             if not (0 <= i < n_vertices and 0 <= j < n_vertices):
                 raise InvalidGraphError(f"edge ({i}, {j}) out of range")
             normalized.add((min(i, j), max(i, j)))
-        paint = (None,) * n_vertices if paint is None else tuple(paint)
         if len(paint) != n_vertices:
             raise InvalidGraphError("paint list length must match vertex count")
         for value in paint:
@@ -347,8 +349,9 @@ class QbfGame:
     """
 
     def __init__(self, cnf: Cnf):
-        self.satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
+        # `closes` first: a count too large to hold fails in one allocation
         self.closes = [0] * (cnf.n + 1)  # k -> clauses whose highest variable is k - 1
+        self.satisfies = [[0, 0] for _ in range(cnf.n)]  # var -> [clauses F satisfies, T]
         for bit, clause in enumerate(cnf.clauses):
             for var, negated in clause:
                 self.satisfies[var][not negated] |= 1 << bit

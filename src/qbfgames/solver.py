@@ -43,7 +43,6 @@ from operator import itemgetter
 from .engine import (
     Goal,
     Locality,
-    Move,
     Player,
     Position,
     apply_move,
@@ -338,14 +337,14 @@ def solve(
                     values[var] = None
             else:
                 return won, variation
-            variation.append(Move(var, value))
+            variation.append((var, value))
             root, mover, k, key = child, mover.opponent, k + 1, child_key
         # A decided root keeps its winner whatever is played, so each move is the
         # lowest open variable; a false same-goal root (the first) has no move.
         if not same or root:
             for var in range(n):
                 if values[var] is None:
-                    variation.append(Move(var, config.choices(mover)[0]))
+                    variation.append((var, config.choices(mover)[0]))
                     mover = mover.opponent
         return won, variation
 

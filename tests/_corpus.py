@@ -334,8 +334,8 @@ def random_position(
 
 def format_trace(t: GameTrace) -> str:
     lines = [format_position(t.initial).rstrip("\n")]
-    for m in t.moves:
-        lines.append(f"move x{m.var} {'T' if m.value else 'F'}")
+    for var, value in t.moves:
+        lines.append(f"move x{var} {'T' if value else 'F'}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,7 +417,8 @@ def check_memo_proof(position: Position, memo: dict, winner: Player) -> None:
 
     def child_key(values, move):
         child = list(values)
-        child[move.var] = move.value
+        var, value = move
+        child[var] = value
         return encode(tuple(child))
 
     assert memo.get(encode(position.assignment)) is winner, "root entry"

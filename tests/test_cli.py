@@ -15,7 +15,7 @@ import qbfgames
 import qbfgames.cli as cli
 from qbfgames.cli import main
 from qbfgames.cnf import Cnf
-from qbfgames.engine import Move, Player, apply_move, parse_position
+from qbfgames.engine import Player, apply_move, parse_position
 from qbfgames.formula import simplify
 from qbfgames.generators import random_cnf, random_positive_cnf
 from qbfgames.reductions import (
@@ -137,24 +137,36 @@ class TestSolve:
         payload = json.loads(out)
         assert (payload["winner"], payload["nodes"]) == (winner, nodes)
 
-    def _solve_peak(self, tmp_path, text, *flags):
-        """`solve` on the position text in a child process killed after 60 s
-        of CPU time: its exit code, the last line of its stdout, its stderr
-        and its peak RSS in KiB."""
-        path, out, err = tmp_path / "wide.pos", tmp_path / "out", tmp_path / "err"
-        path.write_text(text)
+    def _cli_peak(self, tmp_path, argv, address_space=None):
+        """The CLI on argv in a child process killed after 60 s of CPU time,
+        its address space limited to `address_space` bytes if given: its
+        exit code, stdout, stderr and peak RSS in KiB."""
+        out, err = tmp_path / "out", tmp_path / "err"
         src = os.path.dirname(os.path.dirname(qbfgames.__file__))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+            if address_space is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
         with open(out, "w") as stdout, open(err, "w") as stderr:
             child = subprocess.Popen(
-                [sys.executable, "-m", "qbfgames.cli", "solve", str(path), *flags],
+                [sys.executable, "-m", "qbfgames.cli", *argv],
                 env=dict(os.environ, PYTHONPATH=src), stdout=stdout, stderr=stderr,
-                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_CPU, (60, 60)),
+                preexec_fn=limit,
             )
             # wait4 gives this child's own peak, where getrusage would give
             # the largest of every child the test run has waited for
             _, status, usage = os.wait4(child.pid, 0)
-        last = (out.read_text().splitlines() or [""])[-1]
-        return os.waitstatus_to_exitcode(status), last, err.read_text(), usage.ru_maxrss
+        return os.waitstatus_to_exitcode(status), out.read_text(), err.read_text(), usage.ru_maxrss
+
+    def _solve_peak(self, tmp_path, text, *flags):
+        """`solve` on the position text, as `_cli_peak` runs it, with the
+        last line of its stdout in place of the whole."""
+        path = tmp_path / "wide.pos"
+        path.write_text(text)
+        code, out, err, peak = self._cli_peak(tmp_path, ["solve", str(path), *flags])
+        return code, (out.splitlines() or [""])[-1], err, peak
 
     @pytest.mark.parametrize("choice", ["either", "by-player"])
     @pytest.mark.parametrize("locality", ["local", "anywhere"])
@@ -181,23 +193,27 @@ class TestSolve:
         (["reduce", "qbf"], f"p cnf {10**20} 1\n1 0\n"),
         (["gen", "formula", "--vars", str(10**20)], None),
         (["gen", "poscnf", "--vars", str(10**20)], None),
+        (["gen", "graph", "--vertices", str(10**20)], None),
+        (["verify", "snort", "--vertices", str(10**20), "--count", "1"], None),
+        (["verify", "p2c", "--vertices", str(10**20), "--count", "1"], None),
+        (["verify", "qbf", "--vars", str(10**20), "--count", "1"], None),
     ])
     def test_size_too_large_to_hold_exits_2(self, tmp_path, argv, text):
         # 10**15 slots are 8 PB, beyond any address space, so the first
         # allocation fails at once without touching memory (MemoryError);
-        # 10**20 is past 2**63, too large to index (OverflowError)
+        # 10**20 is past 2**63, too large to index (OverflowError).  The
+        # first allocation by the count must come before anything grows
+        # towards it, an edge list or a per-variable table: under the 1 GB
+        # limit such growth ends in MemoryError too, but at a peak far above
+        # 100 MB
         if text is not None:
             path = tmp_path / "huge.in"
             path.write_text(text)
             argv = [*argv, str(path)]
-        src = os.path.dirname(os.path.dirname(qbfgames.__file__))
-        done = subprocess.run(
-            [sys.executable, "-m", "qbfgames.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=30,
-        )
-        assert done.returncode == 2
-        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+        code, _, err, peak = self._cli_peak(tmp_path, argv, address_space=2**30)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert peak < 100 * 1024  # KiB
 
     def _timed_solve(self, tmp_path, text, *flags, timeout):
         path = tmp_path / "wide.pos"
@@ -243,13 +259,23 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", str(path), "--json")
         assert (code, json.loads(out)["nodes"]) == (0, walked)
 
+    def test_printed_line_is_formatted_in_place(self, tmp_path):
+        # each move's text replaces its pair in the line, so a million-move
+        # line never holds a million pairs and their texts at once
+        text = "ruleset either anywhere different\nvars 1000000\nassigned\ntrue\n"
+        for flag in ("--pv", "--json"):
+            code, last, err, peak = self._solve_peak(tmp_path, text, flag)
+            assert (code, err) == (0, ""), flag
+            assert last.startswith("pv: x0=F x1=F " if flag == "--pv" else '{"ruleset": ')
+            assert peak < 180 * 1024, flag  # KiB
+
     def test_pv_is_formatted_only_when_printed(self, capsys, monkeypatch, tmp_path):
         # a decided 50-move line, which neither --pv nor --json asks for
         path = tmp_path / "line.pos"
         path.write_text("ruleset by-player anywhere different\nvars 50\nassigned\ntrue\n")
         formatted = []
-        move_repr = Move.__repr__
-        monkeypatch.setattr(Move, "__repr__", lambda m: formatted.append(m) or move_repr(m))
+        move_text = cli.move_text
+        monkeypatch.setattr(cli, "move_text", lambda m: formatted.append(m) or move_text(m))
         assert run(capsys, "solve", str(path)) == (
             0, "ruleset: by-player-anywhere-different\nwinner: P1 (True)\nnodes: 1\n", ""
         )
@@ -884,6 +910,6 @@ class TestPlay:
         var, value = move_text.split("=")
         position = parse_position(text)
         baseline = solve(position).winner
-        after = apply_move(position, Move(int(var[1:]), value == "T"))
+        after = apply_move(position, (int(var[1:]), value == "T"))
         assert solve(after).winner is baseline
         assert f"winner: {baseline.name}" in out

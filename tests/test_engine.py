@@ -18,7 +18,6 @@ from qbfgames.engine import (
     Goal,
     IllegalMoveError,
     Locality,
-    Move,
     Player,
     Position,
     PositionError,
@@ -54,7 +53,7 @@ def sample_formula():
 def played(config, *moves, formula=None, n=SAMPLE_VARS):
     p = Position.initial(formula if formula is not None else sample_formula(), n, config)
     for var, value in moves:
-        p = apply_move(p, Move(var, value))
+        p = apply_move(p, (var, value))
     return p
 
 
@@ -130,7 +129,7 @@ class TestPositionConstruction:
 class TestLegalMoves:
     def test_local_start_offers_x0_both_values(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
-        assert legal_moves(p) == [Move(0, False), Move(0, True)]
+        assert legal_moves(p) == [(0, False), (0, True)]
 
     def test_blocked_forced_line_has_no_moves(self):
         # after T,F,T,F the True player's only slot x4 would go blatantly false
@@ -141,27 +140,27 @@ class TestLegalMoves:
     def test_anywhere_by_player_start_offers_all_seven(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, BY_PLAYER_ANYWHERE_SAME)
         moves = legal_moves(p)
-        assert moves == [Move(v, True) for v in range(7)]
+        assert moves == [(v, True) for v in range(7)]
 
     def test_normative_ordering(self):
         p = played(EITHER_ANYWHERE_DIFFERENT, (3, True))
         moves = legal_moves(p)
         expected = []
         for var in (0, 1, 2, 4, 5, 6):
-            expected += [Move(var, False), Move(var, True)]
+            expected += [(var, False), (var, True)]
         assert moves == expected
 
     def test_same_goal_filters_blatant_falsity(self):
         f = parse_formula("(and x0 x1)", 2)
         p = Position.initial(f, 2, EITHER_ANYWHERE_SAME)
-        assert legal_moves(p) == [Move(0, True), Move(1, True)]
+        assert legal_moves(p) == [(0, True), (1, True)]
 
 
 class TestApplyMove:
     def test_occupied(self):
         p = played(EITHER_ANYWHERE_DIFFERENT, (3, True))
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(p, Move(3, True))
+            apply_move(p, (3, True))
         assert err.value.reason == IllegalMoveError.OCCUPIED
         # `play` prints these texts after "illegal move: "
         assert str(err.value) == "illegal move x3=T: occupied"
@@ -169,37 +168,37 @@ class TestApplyMove:
     def test_wrong_location(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(p, Move(3, True))
+            apply_move(p, (3, True))
         assert err.value.reason == IllegalMoveError.WRONG_LOCATION
         assert str(err.value) == "illegal move x3=T: wrong-location (lowest unassigned is x0)"
 
     def test_wrong_value_for_player(self):
         p = played(BY_PLAYER_ANYWHERE_SAME, (3, True))  # P2 = False to move
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(p, Move(1, True))
+            apply_move(p, (1, True))
         assert err.value.reason == IllegalMoveError.WRONG_VALUE
         assert str(err.value) == "illegal move x1=T: wrong-value (False assigns only F)"
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(played(BY_PLAYER_ANYWHERE_SAME), Move(1, False))
+            apply_move(played(BY_PLAYER_ANYWHERE_SAME), (1, False))
         assert str(err.value) == "illegal move x1=F: wrong-value (True assigns only T)"
 
     def test_blatantly_false_result(self):
         p = played(BY_PLAYER_LOCAL_SAME, (0, True), (1, False), (2, True), (3, False))
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(p, Move(4, True))
+            apply_move(p, (4, True))
         assert err.value.reason == IllegalMoveError.BLATANTLY_FALSE
         assert str(err.value) == "illegal move x4=T: blatantly-false"
 
     def test_out_of_range(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
         with pytest.raises(IllegalMoveError) as err:
-            apply_move(p, Move(7, True))
+            apply_move(p, (7, True))
         assert err.value.reason == IllegalMoveError.OUT_OF_RANGE
         assert str(err.value) == "illegal move x7=T: out-of-range (n=7)"
 
     def test_mover_toggles_and_state_is_new(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
-        q = apply_move(p, Move(3, True))
+        q = apply_move(p, (3, True))
         assert q.mover is Player.P2
         assert p.assignment[3] is None
         assert q.assignment[3] is True
@@ -258,7 +257,7 @@ class TestRulesetRelations:
                 for p in self._positions(11, local_cfg):
                     low = next((i for i, v in enumerate(p.assignment) if v is None), None)
                     q = Position.initial(p.formula, p.n, anywhere_cfg, p.assignment, p.mover)
-                    filtered = [m for m in legal_moves(q) if m.var == low]
+                    filtered = [m for m in legal_moves(q) if m[0] == low]
                     assert legal_moves(p) == filtered
 
     def test_by_player_is_either_filtered_to_own_value(self):
@@ -269,7 +268,7 @@ class TestRulesetRelations:
                 for p in self._positions(12, bp_cfg):
                     q = Position.initial(p.formula, p.n, either_cfg, p.assignment, p.mover)
                     own = p.mover is Player.P1
-                    filtered = [m for m in legal_moves(q) if m.value == own]
+                    filtered = [m for m in legal_moves(q) if m[1] == own]
                     assert legal_moves(p) == filtered
 
     def test_same_is_different_minus_blatant(self):
@@ -282,10 +281,10 @@ class TestRulesetRelations:
                 for p in self._positions(13, same_cfg):
                     q = Position.initial(p.formula, p.n, diff_cfg, p.assignment, p.mover)
                     filtered = [
-                        m
-                        for m in legal_moves(q)
+                        (var, value)
+                        for var, value in legal_moves(q)
                         if not blatantly_false(
-                            p.formula, p.assignment[: m.var] + (m.value,) + p.assignment[m.var + 1 :]
+                            p.formula, p.assignment[:var] + (value,) + p.assignment[var + 1 :]
                         )
                     ]
                     assert legal_moves(p) == filtered
@@ -330,8 +329,7 @@ class TestReplay:
 
     def test_full_game_reports_winner(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_LOCAL_DIFFERENT)
-        moves = [Move(i, v) for i, v in
-                 [(0, True), (1, True), (2, False), (3, False), (4, True), (5, False), (6, False)]]
+        moves = [(0, True), (1, True), (2, False), (3, False), (4, True), (5, False), (6, False)]
         steps, error, winner = replay_all(GameTrace(p, moves))
         assert error is None
         assert len(steps) == 7
@@ -339,12 +337,12 @@ class TestReplay:
 
     def test_illegal_move_is_raised_after_the_steps_before_it(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
-        moves = [Move(3, True), Move(3, False), Move(1, True)]
+        moves = [(3, True), (3, False), (1, True)]
         steps = replay(GameTrace(p, moves))
-        assert next(steps) == (Move(3, True), apply_move(p, Move(3, True)))
+        assert next(steps) == ((3, True), apply_move(p, (3, True)))
         with pytest.raises(IllegalMoveError) as raised:
             next(steps)
-        assert raised.value.move == Move(3, False)
+        assert raised.value.move == (3, False)
         assert raised.value.reason == IllegalMoveError.OCCUPIED
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
@@ -366,7 +364,7 @@ class TestReplay:
                 if options and rng.random() < 0.7:
                     m = rng.choice(options)
                 else:
-                    m = Move(rng.randrange(n + 1), rng.random() < 0.5)
+                    m = (rng.randrange(n + 1), rng.random() < 0.5)
                 moves.append(m)
                 try:
                     p = apply_move(p, m)
@@ -377,7 +375,8 @@ class TestReplay:
                     assert not spec_blatantly_false(initial.formula, p.assignment)
                     same_goal_decisions += 1
                 elif error is not None and error[1] == IllegalMoveError.BLATANTLY_FALSE:
-                    extended = p.assignment[: m.var] + (m.value,) + p.assignment[m.var + 1 :]
+                    var, value = m
+                    extended = p.assignment[:var] + (value,) + p.assignment[var + 1 :]
                     assert spec_blatantly_false(initial.formula, extended)
                     same_goal_decisions += 1
             winner = final_winner(p) if error is None and is_terminal(p) else None
@@ -483,7 +482,7 @@ class TestFileFormats:
 
     def test_trace_round_trip(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_SAME)
-        t = GameTrace(p, [Move(6, False), Move(2, True)])
+        t = GameTrace(p, [(6, False), (2, True)])
         parsed = parse_trace(format_trace(t))
         assert parsed.initial == p
         assert parsed.moves == t.moves

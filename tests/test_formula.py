@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qbfgames.engine import GameTrace, Move, parse_position, replay
+from qbfgames.engine import GameTrace, parse_position, replay
 from qbfgames.formula import (
     FALSE,
     MAX_DEPTH,
@@ -160,7 +160,7 @@ class TestToText:
     def test_shared_memo_over_replay_snapshots(self):
         n = 60
         p = parse_position(forced_line_position_text("by-player-local-same", n))
-        steps = list(replay(GameTrace(p, [Move(v, v % 2 == 0) for v in range(n)])))
+        steps = list(replay(GameTrace(p, [(v, v % 2 == 0) for v in range(n)])))
         assert len(steps) == n
         memo = {}
         for f in [p.formula] + [q.formula for _, q in steps]:

@@ -11,7 +11,6 @@ from qbfgames.engine import (
     ALL_CONFIGS,
     GameTrace,
     Locality,
-    Move,
     Player,
     Position,
     apply_move,
@@ -214,7 +213,7 @@ def test_position_file_round_trip(p, data):
 @given(positions(), st.data())
 def test_trace_file_round_trip(p, data):
     moves = data.draw(
-        st.lists(st.builds(Move, st.integers(0, p.n - 1), st.booleans()), max_size=6)
+        st.lists(st.tuples(st.integers(0, p.n - 1), st.booleans()), max_size=6)
     )
     t = GameTrace(p, moves)
     assert parse_trace(format_trace(t)) == t

@@ -23,11 +23,11 @@ from qbfgames.engine import (
     GameTrace,
     Goal,
     Locality,
-    Move,
     Player,
     Position,
     RulesetConfig,
     _extended,
+    move_text,
     parse_position,
     parse_trace,
 )
@@ -74,7 +74,7 @@ class TestSolve:
         p = Position.initial(parse_formula("x0", 1), 1, EITHER_LOCAL_DIFFERENT)
         out = solve(p)
         assert out.winner is Player.P1
-        assert out.variation == [Move(0, True)]
+        assert out.variation == [(0, True)]
 
     def test_terminal_position_passthrough(self):
         p = Position.initial(
@@ -267,13 +267,13 @@ class TestMoveRule:
         # drops those that fold the formula to false
         twin = RulesetConfig(config.choice, config.locality, Goal.DIFFERENT)
         for p in self._positions(61, config):
-            moves = [Move(*c) for c in self._candidates(p)]
+            moves = self._candidates(p)
             q = Position.initial(p.formula, p.n, twin, p.assignment, p.mover)
             assert moves == engine.legal_moves(q)
             if config.goal is Goal.SAME:
                 assert [
                     m for m in moves
-                    if not blatantly_false(p.formula, _extended(p.assignment, m.var, m.value))
+                    if not blatantly_false(p.formula, _extended(p.assignment, *m))
                 ] == engine.legal_moves(p)
 
     @pytest.mark.parametrize(
@@ -447,7 +447,7 @@ class TestTrueSameGoalLeaf:
             out = solve(p)
             assert (out.winner, out.nodes) == (mover.opponent, 1)
             movers = [mover, mover.opponent] * 10
-            assert out.variation == [Move(i, config.choices(m)[0]) for i, m in enumerate(movers)]
+            assert out.variation == [(i, config.choices(m)[0]) for i, m in enumerate(movers)]
 
     @pytest.mark.parametrize("ruleset, low, high, count", [
         ("either-local-same", 13, 20, 12),
@@ -484,7 +484,8 @@ FIXTURE_SOLVES = {
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_solve_is_pinned(name):
     out = solve(parse_trace(fixture_text(name)).initial)
-    assert (out.winner, out.nodes, " ".join(map(str, out.variation))) == FIXTURE_SOLVES[name]
+    line = " ".join(map(move_text, out.variation))
+    assert (out.winner, out.nodes, line) == FIXTURE_SOLVES[name]
 
 
 def _pinned_solves():
@@ -505,7 +506,7 @@ def _digest(rows):
 
 def test_solve_outputs_are_pinned():
     # the winners and PVs; a change of search order must keep them
-    rows = [(config.name, out.winner.name, [str(m) for m in out.variation])
+    rows = [(config.name, out.winner.name, [move_text(m) for m in out.variation])
             for config, out in _pinned_solves()]
     assert _digest(rows) == "7ffcf11be08491bbedc7fd32fb387407e3d04f67fdada9f11ec831c9273fd9de"
 
@@ -524,7 +525,7 @@ class TestSimulation:
         out = solve(sample_position(BY_PLAYER_LOCAL_SAME))
         assert out.winner is Player.P2
         assert out.variation == [
-            Move(0, True), Move(1, False), Move(2, True), Move(3, False)
+            (0, True), (1, False), (2, True), (3, False)
         ]
         assert out.nodes == 5
 
@@ -536,7 +537,7 @@ class TestSimulation:
     def test_constant_true_formula(self):
         p = Position.initial(TRUE, 2, BY_PLAYER_LOCAL_DIFFERENT)
         out = solve(p)
-        assert out.variation == [Move(0, True), Move(1, False)]
+        assert out.variation == [(0, True), (1, False)]
         assert out.winner is Player.P1
 
     def test_matches_naive_and_touches_at_most_n(self):
