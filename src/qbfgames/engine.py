@@ -231,7 +231,7 @@ def apply_move(p: Position, m: tuple) -> Position:
     original folded under it (the fold composes).  A same-goal move is
     illegal iff that fold is false: the `blatantly_false` rule."""
     var, value = m
-    if not 0 <= var < p.n:
+    if type(var) is not int or not 0 <= var < p.n:
         raise IllegalMoveError(m, IllegalMoveError.OUT_OF_RANGE, f"n={p.n}")
     if p.assignment[var] is not None:
         raise IllegalMoveError(m, IllegalMoveError.OCCUPIED)
@@ -241,6 +241,8 @@ def apply_move(p: Position, m: tuple) -> Position:
             raise IllegalMoveError(
                 m, IllegalMoveError.WRONG_LOCATION, f"lowest unassigned is x{low}"
             )
+    if type(value) is not bool:
+        raise IllegalMoveError(m, IllegalMoveError.WRONG_VALUE, "value must be True or False")
     choices = p.config.choices(p.mover)
     if value not in choices:
         only = f"{p.config.player_label(p.mover)} assigns only {'T' if choices[0] else 'F'}"

@@ -24,6 +24,7 @@ literals the same way, so parse -> to_text -> parse is a fixpoint.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 # Deepest parenthesis nesting `parse_formula` accepts.  The recursive walks,
@@ -206,18 +207,30 @@ def substitute(f: Formula, values) -> Formula:
     kind = type(f)
     if kind is And or kind is Or:
         is_and = kind is And
+        other = Or if is_and else And
         parts = []
         changed = False
         for c in f.children:
             # Literal children, most of what the solver folds, are handled
             # inline: a call per literal would cost more than the loop.
-            if type(c) is Literal:
+            kind_c = type(c)
+            if kind_c is Literal:
                 v = values[c.var]
                 if v is None:
                     parts.append(c)
                     continue
                 truth = v != c.negated
             else:
+                # So is a clause: the other connective over two or more open
+                # literals, which folds to itself.  A same-kind or one-child
+                # connective may flatten or unwrap, so it recurses.
+                if kind_c is other and len(c.children) > 1:
+                    for g in c.children:
+                        if type(g) is not Literal or values[g.var] is not None:
+                            break
+                    else:
+                        parts.append(c)
+                        continue
                 s = substitute(c, values)
                 if type(s) is Const:
                     truth = s.value
@@ -459,14 +472,19 @@ def to_text(f: Formula, memo: dict | None = None) -> str:
     """
     kind = type(f)
     if kind is And or kind is Or:
-        if memo is not None:
-            hit = memo.get(id(f))
-            if hit is not None:
-                return hit[1]
         head = "(and " if kind is And else "(or "
-        text = head + " ".join([to_text(c, memo) for c in f.children]) + ")"
-        if memo is not None:
-            memo[id(f)] = (f, text)
+        if memo is None:
+            return head + " ".join([to_text(c) for c in f.children]) + ")"
+        get = memo.get
+        hit = get(id(f))
+        if hit is not None:
+            return hit[1]
+        # a memoized child's text is read here, with no call for it
+        texts = [
+            to_text(c, memo) if (hit := get(id(c))) is None else hit[1] for c in f.children
+        ]
+        text = head + " ".join(texts) + ")"
+        memo[id(f)] = (f, text)
         return text
     if kind is Literal:
         return f"(not x{f.var})" if f.negated else f"x{f.var}"
@@ -489,48 +507,50 @@ def parse_formula(text: str, n: int) -> Formula:
     nesting deeper than MAX_DEPTH, and VariableRangeError when an index is
     not below n.
     """
-    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise FormulaSyntaxError("empty formula", 1, 1)
     end = len(tokens)
 
-    def error(message, offset):
+    def error(message, index):
+        """The syntax error at token `index`; only an error scans again for offsets."""
+        offset = next(itertools.islice(_TOKEN.finditer(text), index, None)).start()
         line = text.count("\n", 0, offset) + 1
         return FormulaSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
     def token(i):
         if i == end:
-            raise error("unexpected end of input", tokens[-1][1])
+            raise error("unexpected end of input", end - 1)
         return tokens[i]
 
     def read(i, depth):
         """The formula that starts at token i, and the index after it."""
-        tok, at = token(i)
+        tok = token(i)
         if tok == "(":
             if depth == MAX_DEPTH:
-                raise error(f"nesting deeper than {MAX_DEPTH} levels", at)
-            head, head_at = token(i + 1)
+                raise error(f"nesting deeper than {MAX_DEPTH} levels", i)
+            head = token(i + 1)
             if head == "not":
-                child, i = read(i + 2, depth + 1)
-                tok, close_at = token(i)
+                child, j = read(i + 2, depth + 1)
+                tok = token(j)
                 if tok != ")":
-                    raise error(f"expected ')', got {tok!r}", close_at)
+                    raise error(f"expected ')', got {tok!r}", j)
                 if type(child) is Literal:
-                    return Literal(child.var, not child.negated), i + 1
-                return Not(child), i + 1
+                    return Literal(child.var, not child.negated), j + 1
+                return Not(child), j + 1
             if head != "and" and head != "or":
-                raise error(f"expected 'not', 'and' or 'or', got {head!r}", head_at)
+                raise error(f"expected 'not', 'and' or 'or', got {head!r}", i + 1)
             children = []
-            i += 2
+            j = i + 2
             while True:
-                child, i = read(i, depth + 1)
+                child, j = read(j, depth + 1)
                 children.append(child)
-                if i == end:
-                    raise error("missing ')'", at)
-                if tokens[i][0] == ")":
-                    return (And if head == "and" else Or)(tuple(children)), i + 1
+                if j == end:
+                    raise error("missing ')'", i)
+                if tokens[j] == ")":
+                    return (And if head == "and" else Or)(tuple(children)), j + 1
         if tok == ")":
-            raise error("unexpected ')'", at)
+            raise error("unexpected ')'", i)
         if tok == "true":
             return TRUE, i + 1
         if tok == "false":
@@ -540,10 +560,9 @@ def parse_formula(text: str, n: int) -> Formula:
             if var >= n:
                 raise VariableRangeError(var, n)
             return Literal(var, False), i + 1
-        raise error(f"unrecognized token {tok!r}", at)
+        raise error(f"unrecognized token {tok!r}", i)
 
     result, i = read(0, 0)
     if i < end:
-        tok, at = tokens[i]
-        raise error(f"trailing input {tok!r}", at)
+        raise error(f"trailing input {tokens[i]!r}", i)
     return result

@@ -1,5 +1,6 @@
 """CLI subcommands, output shapes, and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -472,6 +473,43 @@ class TestReplay:
             trace = str(path)
         argv = ("replay", trace) + (("--json",) if mode == "json" else ())
         assert run(capsys, *argv) == pins[mode]
+
+    @pytest.mark.parametrize(
+        "ruleset, mode, digest",
+        [
+            (
+                "by-player-local-different",
+                (),
+                "6ea143d5c3a456506f78e9ab92488f82d7855655c105a37ac69276180dd337d9",
+            ),
+            (
+                "by-player-local-different",
+                ("--json",),
+                "34e51c914291fd0aec94b885522dbf154fbed4c066f1ebd00812f60790c28f9e",
+            ),
+            (
+                "by-player-local-same",
+                (),
+                "0380ca2ca8889ef200592d97dcbc6867604a01f02f4a33025435415f9dac5701",
+            ),
+            (
+                "by-player-local-same",
+                ("--json",),
+                "599c2bd62193ded7cd308327a33e7c38689eb3451ce6b6b1e997b94257b24340",
+            ),
+        ],
+        ids=["different-text", "different-json", "same-text", "same-json"],
+    )
+    def test_long_line_outputs_are_pinned(self, capsys, tmp_path, ruleset, mode, digest):
+        # 400 steps, each a refold and a render of a residual that shares
+        # most of its clauses with the step before
+        n = 400
+        moves = "".join(f"move x{i} {'TF'[i % 2]}\n" for i in range(n))
+        path = tmp_path / "line.trace"
+        path.write_text(forced_line_position_text(ruleset, n) + moves)
+        code, out, err = run(capsys, "replay", str(path), *mode)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
     def test_memory_stays_below_half_the_output(self, tmp_path, monkeypatch, mode):

@@ -196,6 +196,24 @@ class TestApplyMove:
         assert err.value.reason == IllegalMoveError.OUT_OF_RANGE
         assert str(err.value) == "illegal move x7=T: out-of-range (n=7)"
 
+    @pytest.mark.parametrize(
+        "move, reason, text",
+        [
+            ((0, 1), IllegalMoveError.WRONG_VALUE, "x0=T: wrong-value (value must be True or False)"),
+            ((0, 2), IllegalMoveError.WRONG_VALUE, "x0=T: wrong-value (value must be True or False)"),
+            ((True, True), IllegalMoveError.OUT_OF_RANGE, "xTrue=T: out-of-range (n=7)"),
+            ((0.0, True), IllegalMoveError.OUT_OF_RANGE, "x0.0=T: out-of-range (n=7)"),
+        ],
+        ids=["int-value", "int-value-2", "bool-var", "float-var"],
+    )
+    def test_mistyped_move(self, move, reason, text):
+        # a move is an int var and a bool value: 1 is not True, True not x1
+        p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
+        with pytest.raises(IllegalMoveError) as err:
+            apply_move(p, move)
+        assert err.value.reason == reason
+        assert str(err.value) == "illegal move " + text
+
     def test_mover_toggles_and_state_is_new(self):
         p = Position.initial(sample_formula(), SAMPLE_VARS, EITHER_ANYWHERE_DIFFERENT)
         q = apply_move(p, (3, True))

@@ -51,6 +51,33 @@ def assignment_of(n, *pairs):
     return from_pairs(n, pairs)
 
 
+# Every raise site of the reader, with the message, line and column each
+# reports: (text, n, message, line, column).
+TOO_DEEP = "(or " * (MAX_DEPTH + 1) + "x0" + ")" * (MAX_DEPTH + 1)
+SYNTAX_ERRORS = [
+    (" \n\t ", 1, "empty formula", 1, 1),
+    ("(", 1, "unexpected end of input", 1, 1),
+    ("(not x0", 1, "unexpected end of input", 1, 6),
+    ("(not", 1, "unexpected end of input", 1, 2),
+    ("(and", 1, "unexpected end of input", 1, 2),
+    ("(and x0\n (", 1, "unexpected end of input", 2, 2),
+    ("(and x0\n (or x1", 2, "missing ')'", 2, 2),
+    ("(and x0 x1", 2, "missing ')'", 1, 1),
+    ("(not x0 x1)", 2, "expected ')', got 'x1'", 1, 9),
+    ("(and x0\n  (not x1\n   x0))", 2, "expected ')', got 'x0'", 3, 4),
+    ("(xor x0 x1)", 2, "expected 'not', 'and' or 'or', got 'xor'", 1, 2),
+    ("((and x0))", 1, "expected 'not', 'and' or 'or', got '('", 1, 2),
+    (")", 1, "unexpected ')'", 1, 1),
+    ("(and\n )", 1, "unexpected ')'", 2, 2),
+    ("(and x0 ))", 1, "trailing input ')'", 1, 10),
+    ("(or x0\n  x1 banana)", 2, "unrecognized token 'banana'", 2, 6),
+    ("x", 1, "unrecognized token 'x'", 1, 1),
+    ("x0 x1", 2, "trailing input 'x1'", 1, 4),
+    ("(and x0 x1)\n\n  )", 2, "trailing input ')'", 3, 3),
+    (TOO_DEEP, 1, "nesting deeper than 256 levels", 1, 1025),
+]
+
+
 class TestParse:
     def test_sample_formula_structure(self):
         f = sample_formula()
@@ -135,6 +162,18 @@ class TestParse:
             parse_formula("(or " + at_limit + ")", 1)
         # reported at the parenthesis that opens level MAX_DEPTH + 1
         assert err.value.column == 4 * MAX_DEPTH + 1
+
+    @pytest.mark.parametrize(
+        "text, n, message, line, column", SYNTAX_ERRORS, ids=range(len(SYNTAX_ERRORS))
+    )
+    def test_syntax_error_table(self, text, n, message, line, column):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text, n)
+        assert (str(err.value), err.value.line, err.value.column) == (
+            f"{message} (line {line}, column {column})",
+            line,
+            column,
+        )
 
 
 class TestToText:
@@ -246,6 +285,38 @@ class TestSimplify:
     def test_double_negation_removal(self):
         f = Not(Not(Or((Literal(0), Literal(1)))))
         assert simplify(f, (None,) * 2) == Or((Literal(0), Literal(1)))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(and x6 (or x0 x1) (or (not x2) x3 x4) (or x5 (not x0)))",
+            "(or (not x6) (and x0 x1) (and (not x2) x3 x4) (and x5 (not x0)))",
+        ],
+    )
+    def test_open_clauses_are_kept_as_they_are(self, text):
+        # x6 decides nothing, so the root is rebuilt; every other child has
+        # only open literals and is returned as the same object
+        f = parse_formula(text, 7)
+        s = substitute(f, (None,) * 6 + (True,))
+        assert s == type(f)(f.children[1:])
+        assert all(got is kept for got, kept in zip(s.children, f.children[1:]))
+
+    @pytest.mark.parametrize(
+        "text, folded",
+        [
+            ("(and (and x0 x1) x2)", "(and x0 x1 x2)"),
+            ("(or x2 (or x0 (not x1)))", "(or x2 x0 (not x1))"),
+            ("(and (or x0) x1)", "(and x0 x1)"),
+            ("(or (and (not x0)) x1)", "(or (not x0) x1)"),
+            ("(and (or x0 false) x1)", "(and x0 x1)"),
+            ("(or (and x0 true x2) x1)", "(or (and x0 x2) x1)"),
+            ("(and (or x0 (not (not (and x1 x2)))) x1)", "(and (or x0 (and x1 x2)) x1)"),
+        ],
+    )
+    def test_children_that_fold_with_every_variable_open(self, text, folded):
+        # a same-kind child flattens, a one-child connective unwraps, and a
+        # constant or a Not below a child folds away, though no variable is set
+        assert substitute(parse_formula(text, 3), (None,) * 3) == parse_formula(folded, 3)
 
     def test_semantic_preservation_random(self):
         # simplify(f,a) under a completion agrees with f under a + completion,
